@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import delta, sset
 from .delta import MonotoneMap
@@ -234,9 +234,7 @@ class CatalanSet(sset.TruncatedSimplicialSet):
             )
         super().__init__(top_level)
 
-    def level(self, n: int) -> Sequence[LaxMatrix]:
-        self._check_level(n)
-        return enumerate_level(n)
+    _enumerate = staticmethod(enumerate_level)
 
     def act(self, xi: MonotoneMap, x: LaxMatrix) -> LaxMatrix:
         self._check_level(xi.codomain_top)

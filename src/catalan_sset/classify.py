@@ -68,21 +68,22 @@ class MonadStructure:
 
 
 def _monoidale_conditions(b: PosetalMonoidalBicat, a: str, t: str, i: str) -> bool:
+    """Associativity, left unit and right unit as hom-poset inequalities.
+
+    The unit-comparison square ``id_A . (i (x) id_I) <= id_A . (id_I (x) i)``
+    needs no check: a validated input has ``f (x) id_I == f == id_I (x) f``
+    and ``id . f == f`` for every cell f, so both legs are ``i`` and the
+    order is reflexive.
+    """
     id_a = b.identity_of(a)
-    id_i = b.identity_of(b.unit_object)
     assoc_left = b.compose_cells(t, b.tensor_cells(t, id_a))
     assoc_right = b.compose_cells(t, b.tensor_cells(id_a, t))
     left_unit = b.compose_cells(t, b.tensor_cells(i, id_a))
     right_unit = b.compose_cells(t, b.tensor_cells(id_a, i))
-    # the unit-comparison square is evaluated even though strictness makes
-    # both legs literally equal
-    kappa_left = b.compose_cells(id_a, b.tensor_cells(i, id_i))
-    kappa_right = b.compose_cells(id_a, b.tensor_cells(id_i, i))
     return (
         b.leq_cells(assoc_left, assoc_right)
         and b.leq_cells(left_unit, id_a)
         and b.leq_cells(id_a, right_unit)
-        and b.leq_cells(kappa_left, kappa_right)
     )
 
 
@@ -163,16 +164,16 @@ def _record_key(record: dict) -> tuple:
 # -- map enumeration ----------------------------------------------------------
 
 
+def _map_records(nerve: sset.TruncatedSimplicialSet) -> list[dict]:
+    enum = sset.enumerate_truncated_maps(CatalanSet(4), nerve, 4)
+    return sorted((_record_of_map(f) for f in enum.maps), key=_record_key)
+
+
 def maps_from_catalan(target: PosetalBicat) -> list[dict]:
     """Simplicial maps out of the 4-truncation, recorded on the named simplices."""
     if isinstance(target, PosetalMonoidalBicat):
-        nerve = MonoidalNerve(target)
-    else:
-        nerve = BicatNerve(target)
-    enum = sset.enumerate_truncated_maps(CatalanSet(4), nerve, 4)
-    records = [_record_of_map(f) for f in enum.maps]
-    records.sort(key=_record_key)
-    return records
+        return _map_records(MonoidalNerve(target))
+    return _map_records(BicatNerve(target))
 
 
 def direct_classification(b: PosetalMonoidalBicat) -> list[dict]:
@@ -183,8 +184,11 @@ def direct_classification(b: PosetalMonoidalBicat) -> list[dict]:
     the level-3 entries are where the structural inequalities bite and the
     level-4 entries must never cut anything further.
     """
-    require_valid(validate_monoidal_bicat(b))
-    nerve = MonoidalNerve(b, validate=False)
+    return _direct_records(MonoidalNerve(b))
+
+
+def _direct_records(nerve: MonoidalNerve) -> list[dict]:
+    b = nerve.b
     level_sets = {n: set(nerve.level(n)) for n in range(5)}
     records = []
     for a in b.objects:
@@ -251,8 +255,10 @@ def verify_theorem(b: PosetalMonoidalBicat, input_name: str = "input") -> Classi
     """Compare generic map enumeration, direct classification and the
     internal structures; OK means all three agree bijectively."""
     failures: list[str] = []
-    generic = maps_from_catalan(b)
-    direct = direct_classification(b)
+    # one nerve serves both counts; the routes differ in how they search it
+    nerve = MonoidalNerve(b)
+    generic = _map_records(nerve)
+    direct = _direct_records(nerve)
     structures = skew_monoidales(b)
     if [_record_key(r) for r in generic] != [_record_key(r) for r in direct]:
         failures.append(
@@ -294,10 +300,7 @@ def verify_theorem(b: PosetalMonoidalBicat, input_name: str = "input") -> Classi
 
 def verify_monad_remark(k: PosetalBicat, input_name: str = "input") -> ClassificationReport:
     """Compare map enumeration into the plain nerve with the monad census."""
-    require_valid(validate_bicat(k))
-    nerve = BicatNerve(k, validate=False)
-    enum = sset.enumerate_truncated_maps(CatalanSet(4), nerve, 4)
-    records = sorted((_record_of_map(f) for f in enum.maps), key=_record_key)
+    records = _map_records(BicatNerve(k))
     found = monads(k)
     failures: list[str] = []
     pairs_of_maps = [(r["star"].vertices[0], r["c"].cells[0]) for r in records]

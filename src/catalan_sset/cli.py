@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import tamari
-from .bicats import PosetalMonoidalBicat
+from .bicats import PosetalMonoidalBicat, embed
 from .catalan import (
     CatalanSet,
     DEFAULT_COUNT_BOUND,
@@ -140,21 +140,22 @@ def _cmd_catalogue(args, parser) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+def _embedded(obj):
+    """A monoidal poset embedded as a monoidal 2-category; other inputs as given."""
+    return embed(obj) if hasattr(obj, "elements") else obj
+
+
 def _cmd_verify_identities(args, parser) -> int:
     if args.input:
         max_n = _level_arg(parser, args.max_n if args.max_n is not None else "4")
-        obj = resolve_input(args.input)
+        source = resolve_input(args.input)
+        obj = _embedded(source)
         if isinstance(obj, PosetalMonoidalBicat):
             space = MonoidalNerve(obj, top_level=max_n)
-            label = "monoidal nerve"
-        elif hasattr(obj, "objects"):
+            label = "monoidal nerve" if obj is source else "monoidal nerve of the embedded poset"
+        else:
             space = BicatNerve(obj, top_level=max_n)
             label = "nerve"
-        else:
-            from .bicats import embed
-
-            space = MonoidalNerve(embed(obj), top_level=max_n)
-            label = "monoidal nerve of the embedded poset"
     else:
         max_n = _level_arg(parser, args.max_n if args.max_n is not None else "5")
         space = CatalanSet(top_level=max_n)
@@ -177,24 +178,15 @@ def _report_out(report, args) -> int:
 
 
 def _cmd_verify_theorem(args, parser) -> int:
-    obj = resolve_input(args.input)
+    obj = _embedded(resolve_input(args.input))
     if not isinstance(obj, PosetalMonoidalBicat):
-        if hasattr(obj, "elements"):
-            from .bicats import embed
-
-            obj = embed(obj)
-        else:
-            parser.error("verify-theorem needs a monoidal input")
+        parser.error("verify-theorem needs a monoidal input")
     report = verify_theorem(obj, input_name=args.input)
     return _report_out(report, args)
 
 
 def _cmd_verify_monads(args, parser) -> int:
-    obj = resolve_input(args.input)
-    if hasattr(obj, "elements"):
-        from .bicats import embed
-
-        obj = embed(obj)
+    obj = _embedded(resolve_input(args.input))
     report = verify_monad_remark(obj, input_name=args.input)
     return _report_out(report, args)
 

@@ -9,6 +9,7 @@ the rest of the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -77,6 +78,7 @@ def identity(n: int) -> MonotoneMap:
     return MonotoneMap(n, n, tuple(range(n + 1)))
 
 
+@lru_cache(maxsize=None)
 def face(i: int, n: int) -> MonotoneMap:
     """delta_i : [n-1] -> [n], the injection whose image omits i."""
     if n < 1 or not 0 <= i <= n:
@@ -84,6 +86,7 @@ def face(i: int, n: int) -> MonotoneMap:
     return MonotoneMap(n - 1, n, tuple(p if p < i else p + 1 for p in range(n)))
 
 
+@lru_cache(maxsize=None)
 def degeneracy(i: int, n: int) -> MonotoneMap:
     """sigma_i : [n+1] -> [n], the surjection that hits i twice."""
     if n < 0 or not 0 <= i <= n:

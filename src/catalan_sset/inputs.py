@@ -54,11 +54,27 @@ def _pair_table(doc: dict, key: str) -> dict[tuple[str, str], str]:
     return {_split_key(k): str(v) for k, v in table.items()}
 
 
+def _name(doc: dict, key: str) -> str:
+    if not isinstance(doc[key], str):
+        raise InvalidInputError(f"{key} must be a string")
+    return doc[key]
+
+
+def _name_list(doc: dict, key: str) -> tuple[str, ...]:
+    names = doc[key]
+    if not isinstance(names, list) or not all(isinstance(e, str) for e in names):
+        raise InvalidInputError(f"{key} must be a list of strings")
+    return tuple(names)
+
+
 def _pair_list(doc: dict, key: str) -> frozenset:
     pairs = doc[key]
-    if not isinstance(pairs, list) or any(len(p) != 2 for p in pairs):
-        raise InvalidInputError(f"{key} must be a list of pairs")
-    return frozenset((str(a), str(b)) for a, b in pairs)
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(e, str) for e in p)
+        for p in pairs
+    ):
+        raise InvalidInputError(f"{key} must be a list of pairs of strings")
+    return frozenset((a, b) for a, b in pairs)
 
 
 def parse_document(doc: dict, *, validate: bool = True):
@@ -68,10 +84,10 @@ def parse_document(doc: dict, *, validate: bool = True):
     keys = frozenset(doc)
     if keys == MONOIDAL_POSET_KEYS:
         out = MonoidalPoset(
-            elements=tuple(str(e) for e in doc["elements"]),
+            elements=_name_list(doc, "elements"),
             leq=_pair_list(doc, "leq"),
             tensor=_pair_table(doc, "tensor"),
-            unit=str(doc["unit"]),
+            unit=_name(doc, "unit"),
         )
         if validate:
             require_valid(validate_monoidal_poset(out))
@@ -84,14 +100,17 @@ def parse_document(doc: dict, *, validate: bool = True):
             raise InvalidInputError(
                 'cells must be a list of {"from": ..., "to": ..., "name": ...}'
             )
+        identities = doc["identities"]
+        if not isinstance(identities, dict):
+            raise InvalidInputError("identities must be an object")
         common = dict(
-            objects=tuple(str(o) for o in doc["objects"]),
+            objects=_name_list(doc, "objects"),
             cells=tuple(
                 Cell(str(c["name"]), str(c["from"]), str(c["to"])) for c in cells
             ),
             leq=_pair_list(doc, "leq"),
             compose=_pair_table(doc, "compose"),
-            identities={str(k): str(v) for k, v in doc["identities"].items()},
+            identities={k: str(v) for k, v in identities.items()},
         )
         if keys == BICAT_KEYS:
             out = PosetalBicat(**common)
@@ -102,7 +121,7 @@ def parse_document(doc: dict, *, validate: bool = True):
             **common,
             obj_tensor=_pair_table(doc, "obj_tensor"),
             cell_tensor=_pair_table(doc, "cell_tensor"),
-            unit_object=str(doc["unit_object"]),
+            unit_object=_name(doc, "unit_object"),
         )
         if validate:
             require_valid(validate_monoidal_bicat(out))
@@ -116,7 +135,10 @@ def parse_document(doc: dict, *, validate: bool = True):
 
 def load_path(path: str | Path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
     return parse_document(doc)
 
 

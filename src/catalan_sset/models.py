@@ -98,17 +98,21 @@ def relation_to_lax(rel: InterpolativeRelation) -> LaxMatrix:
     return lax_from_bits(rel.n, bits)
 
 
-def relation_pullback(xi: MonotoneMap, rel: InterpolativeRelation) -> InterpolativeRelation:
-    if xi.codomain_top != rel.n:
-        raise ShapeMismatchError("pullback endpoints do not match")
+def _gather_pairs(xi: MonotoneMap, pairs: frozenset) -> frozenset:
+    """The pairs (p, q) of [m] x [m] whose image under xi lies in ``pairs``."""
     m = xi.domain_top
-    pairs = frozenset(
+    return frozenset(
         (p, q)
         for p in range(m + 1)
         for q in range(m + 1)
-        if (xi.values[p], xi.values[q]) in rel.pairs
+        if (xi.values[p], xi.values[q]) in pairs
     )
-    return InterpolativeRelation(m, pairs)
+
+
+def relation_pullback(xi: MonotoneMap, rel: InterpolativeRelation) -> InterpolativeRelation:
+    if xi.codomain_top != rel.n:
+        raise ShapeMismatchError("pullback endpoints do not match")
+    return InterpolativeRelation(xi.domain_top, _gather_pairs(xi, rel.pairs))
 
 
 # -- square ideals ---------------------------------------------------------
@@ -215,13 +219,7 @@ def ideal_pullback(xi: MonotoneMap, b: IdealRelation) -> IdealRelation:
     if b.m_top != b.n_top or xi.codomain_top != b.n_top:
         raise ShapeMismatchError("pullback needs a square ideal at the map's target")
     m = xi.domain_top
-    pairs = frozenset(
-        (p, q)
-        for p in range(m + 1)
-        for q in range(m + 1)
-        if (xi.values[p], xi.values[q]) in b.pairs
-    )
-    return IdealRelation(m, m, pairs)
+    return IdealRelation(m, m, _gather_pairs(xi, b.pairs))
 
 
 def enumerate_square_ideals(n: int) -> tuple[IdealRelation, ...]:

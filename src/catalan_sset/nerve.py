@@ -54,6 +54,25 @@ def triple_index(n: int) -> dict[tuple[int, int, int], int]:
     return {t: k for k, t in enumerate(triples(n))}
 
 
+@lru_cache(maxsize=None)
+def _restriction(xi: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where each object and cell of a simplex pulled back along xi comes from.
+
+    An object is read at position k of the source simplex, or is the unit
+    when k is -1; a cell is read at position k, or when k < 0 it is the
+    identity on object ~k of the pulled-back simplex: a collapsed triple
+    gets the identity on its outer interval, the unit's when all collapse.
+    """
+    v, m = xi.values, xi.domain_top
+    idx, tdx = interval_index(xi.codomain_top), triple_index(xi.codomain_top)
+    objs = tuple(idx[(v[p], v[q])] if v[p] < v[q] else -1 for (p, q) in intervals(m))
+    cells = tuple(
+        tdx[(v[p], v[q], v[r])] if v[p] < v[q] < v[r] else ~interval_index(m)[(p, r)]
+        for (p, q, r) in triples(m)
+    )
+    return objs, cells
+
+
 @dataclass(frozen=True, slots=True)
 class MonoidalNerveSimplex:
     """Objects per interval (canonical order) and cells per triple (lex order)."""
@@ -61,12 +80,6 @@ class MonoidalNerveSimplex:
     n: int
     objects: tuple[str, ...]
     cells: tuple[str, ...]
-
-    def object_at(self, i: int, j: int) -> str:
-        return self.objects[interval_index(self.n)[(i, j)]]
-
-    def cell_at(self, i: int, j: int, k: int) -> str:
-        return self.cells[triple_index(self.n)[(i, j, k)]]
 
     def __repr__(self) -> str:
         return f"NrvM({self.n}|{','.join(self.objects)}|{','.join(self.cells)})"
@@ -95,7 +108,6 @@ class MonoidalNerve(TruncatedSimplicialSet):
             require_valid(validate_monoidal_bicat(b))
         super().__init__(top_level)
         self.b = b
-        self._levels: dict[int, tuple[MonoidalNerveSimplex, ...]] = {}
 
     # -- enumeration ----------------------------------------------------
 
@@ -175,36 +187,14 @@ class MonoidalNerve(TruncatedSimplicialSet):
 
     # -- simplicial-set interface ----------------------------------------
 
-    def level(self, n: int):
-        self._check_level(n)
-        if n not in self._levels:
-            self._levels[n] = self._enumerate(n)
-        return self._levels[n]
-
     def act(self, xi: MonotoneMap, x: MonoidalNerveSimplex) -> MonoidalNerveSimplex:
         if xi.codomain_top != x.n:
             raise DomainMismatchError("map endpoints do not match the simplex level")
-        b = self.b
-        m = xi.domain_top
-        unit = b.unit_object
-
-        def obj(p: int, q: int) -> str:
-            a, c = xi.values[p], xi.values[q]
-            return x.object_at(a, c) if a < c else unit
-
-        objs = tuple(obj(p, q) for (p, q) in intervals(m))
-        cells = []
-        for (p, q, r) in triples(m):
-            a, c, e = xi.values[p], xi.values[q], xi.values[r]
-            if a < c < e:
-                cells.append(x.cell_at(a, c, e))
-            elif a == c and c < e:
-                cells.append(b.identity_of(x.object_at(c, e)))
-            elif a < c and c == e:
-                cells.append(b.identity_of(x.object_at(a, c)))
-            else:
-                cells.append(b.identity_of(unit))
-        return MonoidalNerveSimplex(m, objs, tuple(cells))
+        obj_src, cell_src = _restriction(xi)
+        unit, identity_of = self.b.unit_object, self.b.identity_of
+        objs = tuple(x.objects[k] if k >= 0 else unit for k in obj_src)
+        cells = tuple(x.cells[k] if k >= 0 else identity_of(objs[~k]) for k in cell_src)
+        return MonoidalNerveSimplex(xi.domain_top, objs, cells)
 
 
 class BicatNerve(TruncatedSimplicialSet):
@@ -215,7 +205,6 @@ class BicatNerve(TruncatedSimplicialSet):
             require_valid(validate_bicat(k))
         super().__init__(top_level)
         self.k = k
-        self._levels: dict[int, tuple[BicatNerveSimplex, ...]] = {}
 
     def _enumerate(self, n: int) -> tuple[BicatNerveSimplex, ...]:
         k = self.k
@@ -244,12 +233,6 @@ class BicatNerve(TruncatedSimplicialSet):
         for verts in product(k.objects, repeat=n + 1):
             assign_cells(0, verts)
         return tuple(results)
-
-    def level(self, n: int):
-        self._check_level(n)
-        if n not in self._levels:
-            self._levels[n] = self._enumerate(n)
-        return self._levels[n]
 
     def act(self, xi: MonotoneMap, x: BicatNerveSimplex) -> BicatNerveSimplex:
         if xi.codomain_top != x.n:

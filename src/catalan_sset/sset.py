@@ -1,15 +1,16 @@
 """Truncated simplicial sets and the generic machinery over them.
 
-A concrete simplicial set implements ``level`` and ``act``; faces,
-degeneracies, the degeneracy test, the surjection/non-degenerate
-decomposition, boundary and filler search, the simplicial-identity
-harness and the enumeration of truncated simplicial maps are all derived
-here and work against any implementation.
+A concrete simplicial set implements ``_enumerate`` and ``act``; the
+memoised levels and face tables, faces, degeneracies, the degeneracy
+test, the surjection/non-degenerate decomposition, boundary and filler
+search, the simplicial-identity harness and the enumeration of truncated
+simplicial maps are all derived here and work against any implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Iterator, Sequence
 
 from . import delta
@@ -45,16 +46,38 @@ class TruncatedSimplicialSet:
         if top_level < 0:
             raise LevelOutOfRangeError("top_level must be >= 0")
         self.top_level = top_level
+        self._levels: dict[int, Sequence[Code]] = {}
+        self._face_tables: dict[int, tuple[tuple[Code, ...], ...]] = {}
 
     # -- interface -----------------------------------------------------
 
-    def level(self, n: int) -> Sequence[Code]:
+    def _enumerate(self, n: int) -> Sequence[Code]:
         raise NotImplementedError
 
     def act(self, xi: MonotoneMap, x: Code) -> Code:
         raise NotImplementedError
 
     # -- derived operations ---------------------------------------------
+
+    def level(self, n: int) -> Sequence[Code]:
+        """The simplices at level n, enumerated once per instance."""
+        self._check_level(n)
+        if n not in self._levels:
+            self._levels[n] = self._enumerate(n)
+        return self._levels[n]
+
+    def face_table(self, n: int) -> tuple[tuple[Code, ...], ...]:
+        """Row k holds the faces d_0..d_n of ``level(n)[k]``, computed once by
+        ``face``; each is replaced by the equal object of ``level(n-1)`` if any."""
+        self._check_level(n, low=1)
+        if n not in self._face_tables:
+            canon = {y: y for y in self.level(n - 1)}
+            rows = []
+            for x in self.level(n):
+                faces = (self.face(i, n, x) for i in range(n + 1))
+                rows.append(tuple(canon.get(f, f) for f in faces))
+            self._face_tables[n] = tuple(rows)
+        return self._face_tables[n]
 
     def _check_level(self, n: int, low: int = 0) -> None:
         if not low <= n <= self.top_level:
@@ -151,8 +174,7 @@ class TruncatedSimplicialSet:
 class PointSimplicialSet(TruncatedSimplicialSet):
     """One simplex per level: the terminal truncated simplicial set."""
 
-    def level(self, n: int) -> Sequence[Code]:
-        self._check_level(n)
+    def _enumerate(self, n: int) -> Sequence[Code]:
         return ("pt",)
 
     def act(self, xi: MonotoneMap, x: Code) -> Code:
@@ -165,7 +187,8 @@ class TableSimplicialSet(TruncatedSimplicialSet):
     ``faces[(i, n, x)]`` and ``degeneracies[(i, n, x)]`` hold the generator
     actions; general actions are assembled through the epi-mono
     factorisation.  Tables are plain dicts so tests can corrupt single
-    entries for fault injection.
+    entries for fault injection; levels and face tables are memoised on
+    first use, so corrupt them before that.
     """
 
     def __init__(self, levels: Sequence[Sequence[Code]], faces: dict, degeneracies: dict):
@@ -192,8 +215,7 @@ class TableSimplicialSet(TruncatedSimplicialSet):
         }
         return cls(levels, faces, degeneracies)
 
-    def level(self, n: int) -> Sequence[Code]:
-        self._check_level(n)
+    def _enumerate(self, n: int) -> Sequence[Code]:
         return self.levels[n]
 
     def act(self, xi: MonotoneMap, x: Code) -> Code:
@@ -267,12 +289,8 @@ def is_compatible_boundary(X: TruncatedSimplicialSet, b: Boundary) -> bool:
 def compatible_boundaries(X: TruncatedSimplicialSet, n: int) -> Iterator[Boundary]:
     """All compatible boundaries at dimension n, assembled by backtracking."""
     X._check_level(n - 1)
-    cells = list(X.level(n - 1))
-    face_rows = (
-        {x: tuple(X.face(j, n - 1, x) for j in range(n)) for x in cells}
-        if n >= 2
-        else None
-    )
+    cells = X.level(n - 1)
+    face_rows = dict(zip(cells, X.face_table(n - 1))) if n >= 2 else None
     chosen: list[Code] = []
 
     def rec(e: int) -> Iterator[Boundary]:
@@ -293,8 +311,7 @@ def compatible_boundaries(X: TruncatedSimplicialSet, n: int) -> Iterator[Boundar
 
 def fillers(X: TruncatedSimplicialSet, b: Boundary) -> list[Code]:
     n = b.dimension
-    X._check_level(n)
-    return [x for x in X.level(n) if boundary_of(X, x, n) == b]
+    return [x for x, row in zip(X.level(n), X.face_table(n)) if row == b.entries]
 
 
 @dataclass(frozen=True)
@@ -381,12 +398,12 @@ def _filler_spot_check(Y: TruncatedSimplicialSet, r: int) -> None:
         raise LevelOutOfRangeError(
             f"coskeletal spot check needs level {r + 1}, have {Y.top_level}"
         )
-    for b in compatible_boundaries(Y, r + 1):
-        k = len(fillers(Y, b))
-        if k != 1:
-            raise NotCoskeletalError(
-                f"boundary at dimension {r + 1} has {k} fillers: {b.entries!r}"
-            )
+    report = coskeletal_filler_report(Y, r + 1)
+    if not report.ok:
+        b, k = report.violations[0]
+        raise NotCoskeletalError(
+            f"boundary at dimension {r + 1} has {k} fillers: {b.entries!r}"
+        )
 
 
 def naturality_failures(f: TruncatedMap) -> list[tuple[MonotoneMap, Code]]:
@@ -438,18 +455,12 @@ def enumerate_truncated_maps(
             maps.append(TruncatedMap(X, Y, r, images))
             return
         n, x = nd[k]
-        face_imgs = (
-            [image_of(n - 1, X.face(i, n, x)) for i in range(n + 1)] if n else []
-        )
-        for y in Y.level(n):
-            witness = None
-            for i in range(n + 1) if n else ():
-                got = Y.face(i, n, y)
-                if got != face_imgs[i]:
-                    witness = RejectionWitness(n, x, y, i, face_imgs[i], got)
-                    break
-            if witness is not None:
-                rejections.append(witness)
+        required = tuple(image_of(n - 1, X.face(i, n, x)) for i in range(n + 1)) if n else ()
+        rows = Y.face_table(n) if n else repeat(())
+        for y, row in zip(Y.level(n), rows):
+            if row != required:
+                i = next(i for i in range(n + 1) if row[i] != required[i])
+                rejections.append(RejectionWitness(n, x, y, i, required[i], row[i]))
                 continue
             images[(n, x)] = y
             rec(k + 1)

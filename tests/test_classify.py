@@ -14,7 +14,7 @@ from catalan_sset.classify import (
     verify_theorem,
 )
 from catalan_sset.inputs import load_suite
-from catalan_sset.nerve import MonoidalNerve
+from catalan_sset.nerve import BicatNerve, MonoidalNerve
 from catalan_sset.posets import MonoidalPoset
 
 
@@ -183,3 +183,27 @@ def test_monoidale_count_in_a_noncommutative_embedding():
     report = verify_theorem(embed(m), input_name="left-projection")
     assert report.ok
     assert (report.map_count, report.structure_count) == (1, 1)
+
+
+def _count_enumerations(monkeypatch, cls):
+    calls = []
+    original = cls._enumerate
+
+    def counted(self, n):
+        calls.append((id(self), n))
+        return original(self, n)
+
+    monkeypatch.setattr(cls, "_enumerate", counted)
+    return calls
+
+
+def test_one_verdict_enumerates_each_nerve_level_once(monkeypatch):
+    calls = _count_enumerations(monkeypatch, MonoidalNerve)
+    assert verify_theorem(embed(load_suite("chain3-max"))).ok
+    assert sorted(n for _, n in calls) == [0, 1, 2, 3, 4]
+    assert len({nerve for nerve, _ in calls}) == 1
+
+    calls = _count_enumerations(monkeypatch, BicatNerve)
+    assert verify_monad_remark(load_suite("sigma-or2")).ok
+    assert sorted(n for _, n in calls) == [0, 1, 2, 3, 4]
+    assert len({nerve for nerve, _ in calls}) == 1

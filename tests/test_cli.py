@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from catalan_sset import cli
 from catalan_sset.classify import ClassificationReport
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -170,3 +176,29 @@ def test_failing_verdict_exits_one(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify-theorem", "--input", "or2")
     assert code == 1
     assert "verdict=FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"elements": ["0", "1"], "leq": [1, 2], "tensor": {}, "unit": "0"}',
+        '{"elements": "01", "leq": [["0", "0"], ["0", "1"], ["1", "1"]],'
+        ' "tensor": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"}, "unit": "0"}',
+    ],
+    ids=["not-json", "leq-not-pairs", "elements-a-string"],
+)
+def test_bad_input_file_exits_two_without_traceback(tmp_path, text):
+    target = tmp_path / "bad.json"
+    target.write_text(text, encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "catalan_sset.cli", "verify-theorem", "--input", str(target)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catalan_sset import delta
+from catalan_sset.bicats import PosetalMonoidalBicat, embed
 from catalan_sset.catalan import CatalanSet, LaxMatrix, lax_from_bits
 from catalan_sset.errors import LevelOutOfRangeError, NotCoskeletalError
+from catalan_sset.inputs import load_suite, suite_names
+from catalan_sset.nerve import BicatNerve, MonoidalNerve
 from catalan_sset.sset import (
     PointSimplicialSet,
     TableSimplicialSet,
     boundary_of,
+    compatible_boundaries,
     coskeletal_filler_report,
     enumerate_truncated_maps,
+    fillers,
     is_compatible_boundary,
 )
 
@@ -232,3 +237,43 @@ def test_duplicate_filler_raises_not_coskeletal():
         table.faces[(i, 3, clone)] = base.face(i, 3, clone[1])
     with pytest.raises(NotCoskeletalError):
         enumerate_truncated_maps(table, table, 2, coskeletal_check=True)
+
+
+# -- memoised face tables ----------------------------------------------------------
+
+
+def _suite_nerves():
+    spaces = []
+    for name in suite_names():
+        source = load_suite(name)
+        if hasattr(source, "elements"):
+            spaces.append((name, MonoidalNerve(embed(source))))
+            continue
+        if isinstance(source, PosetalMonoidalBicat):
+            spaces.append((name, MonoidalNerve(source)))
+        spaces.append((name, BicatNerve(source)))
+    return spaces
+
+
+@pytest.fixture(scope="module")
+def face_table_spaces(c5):
+    return [("catalan", c5, 5)] + [(name, nv, 4) for name, nv in _suite_nerves()]
+
+
+def test_face_table_rows_equal_the_face_oracle(face_table_spaces):
+    for name, X, top in face_table_spaces:
+        for n in range(1, top + 1):
+            rows = X.face_table(n)
+            assert len(rows) == len(X.level(n)), (name, n)
+            lower = {id(y) for y in X.level(n - 1)}
+            for x, row in zip(X.level(n), rows):
+                assert row == tuple(X.face(i, n, x) for i in range(n + 1)), (name, n, x)
+                assert all(id(f) in lower for f in row), (name, n, x)
+            assert X.face_table(n) is rows
+
+
+def test_fillers_agree_with_the_boundary_scan(face_table_spaces):
+    for name, X, _ in face_table_spaces:
+        boundaries = {x: boundary_of(X, x, 3) for x in X.level(3)}
+        for b in compatible_boundaries(X, 3):
+            assert fillers(X, b) == [x for x in X.level(3) if boundaries[x] == b], name
