@@ -112,41 +112,53 @@ def lax_from_bits(n: int, bits: Iterable[int]) -> LaxMatrix:
     return LaxMatrix(n, packed)
 
 
-@lru_cache(maxsize=None)
-def enumerate_level(n: int) -> tuple[LaxMatrix, ...]:
-    """All simplices at a level, in lexicographic (canonical) order."""
+def _ballot_level(n: int, nondegenerate: bool) -> tuple[LaxMatrix, ...]:
+    """Level n generated from ballot sequences, in canonical order.
+
+    A simplex is fixed by r(i), the largest j with x(i, j) = 0: row i holds
+    zeros on (i, i+1) ... (i, r(i)) and ones beyond, and r runs over the
+    weakly increasing sequences with i <= r(i) <= n.  A simplex is
+    degenerate iff some i < n has r(i) = r(i+1) >= i+1 while no p < i has
+    r(p) = i; every extension of a prefix meeting that test meets it too,
+    so with ``nondegenerate`` the walk skips the whole subtree.
+    """
     if n < 0:
         raise LevelTooLargeError("level must be >= 0")
     if n > HARD_LEVEL_BOUND:
         raise LevelTooLargeError(
             f"level {n} above the enumeration ceiling {HARD_LEVEL_BOUND}"
         )
-    pos = intervals(n)
     idx = interval_index(n)
-    count = len(pos)
-    # positions of the two maximal sub-intervals, or None for unit length
-    inner = [
-        None if j - i == 1 else (idx[(i, j - 1)], idx[(i + 1, j)]) for (i, j) in pos
-    ]
-    out: list[LaxMatrix] = []
-    vals = [0] * count
+    count = len(idx)
+    full = (1 << count) - 1
+    # zero_masks[i][r - i]: the bits of (i, i+1) ... (i, r)
+    zero_masks = []
+    for i in range(n + 1):
+        row = [0]
+        for j in range(i + 1, n + 1):
+            row.append(row[-1] | 1 << (count - 1 - idx[(i, j)]))
+        zero_masks.append(row)
+    leaves: list[int] = []
+    # (i, r(i-1), zeros so far, bit v set when some p < i has r(p) = v)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, prev, zeros, hit = stack.pop()
+        if i > n:
+            leaves.append(full & ~zeros)
+            continue
+        masks = zero_masks[i]
+        for r in range(max(i, prev), n + 1):
+            if nondegenerate and r == prev >= i > 0 and not hit >> (i - 1) & 1:
+                continue
+            stack.append((i + 1, r, zeros | masks[r - i], hit | 1 << r))
+    leaves.sort()
+    return tuple(LaxMatrix(n, bits) for bits in leaves)
 
-    def rec(k: int, acc: int) -> None:
-        if k == count:
-            out.append(LaxMatrix(n, acc))
-            return
-        low = 0
-        if inner[k] is not None:
-            a, b = inner[k]
-            low = vals[a] if vals[a] >= vals[b] else vals[b]
-        if low == 0:
-            vals[k] = 0
-            rec(k + 1, acc << 1)
-        vals[k] = 1
-        rec(k + 1, (acc << 1) | 1)
 
-    rec(0, 0)
-    return tuple(out)
+@lru_cache(maxsize=None)
+def enumerate_level(n: int) -> tuple[LaxMatrix, ...]:
+    """All simplices at a level, in lexicographic (canonical) order."""
+    return _ballot_level(n, nondegenerate=False)
 
 
 def level_count(n: int) -> int:
@@ -206,7 +218,8 @@ def matrix_is_degenerate(x: LaxMatrix) -> bool:
 
 @lru_cache(maxsize=None)
 def nondegenerate_level(n: int) -> tuple[LaxMatrix, ...]:
-    return tuple(x for x in enumerate_level(n) if not matrix_is_degenerate(x))
+    """The non-degenerate simplices at a level, in canonical order."""
+    return _ballot_level(n, nondegenerate=True)
 
 
 def nondegenerate_count(n: int) -> int:
@@ -216,11 +229,12 @@ def nondegenerate_count(n: int) -> int:
 def level_export(n: int) -> dict:
     """JSON-ready view of a level; bit order is the canonical interval order."""
     sims = enumerate_level(n)
+    nd = set(nondegenerate_level(n))
     return {
         "n": n,
         "count": len(sims),
         "simplices": [list(x.bit_tuple()) for x in sims],
-        "nondegenerate": [not matrix_is_degenerate(x) for x in sims],
+        "nondegenerate": [x in nd for x in sims],
     }
 
 

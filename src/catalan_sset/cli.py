@@ -18,8 +18,8 @@ from .catalan import (
     HARD_LEVEL_BOUND,
     enumerate_level,
     level_export,
-    matrix_is_degenerate,
     nondegenerate_count,
+    nondegenerate_level,
     reference_counts,
 )
 from .catalogue import catalogue, verify_catalogue
@@ -122,10 +122,11 @@ def _cmd_count(args, parser) -> int:
 def _cmd_enumerate(args, parser) -> int:
     n = _level_arg(parser, args.n)
     sims = enumerate_level(n)
+    nd = set(nondegenerate_level(n))
     print(f"n={n} count={len(sims)}")
     for x in sims:
         word = "".join(map(str, x.bit_tuple()))
-        marker = "." if matrix_is_degenerate(x) else "*"
+        marker = "*" if x in nd else "."
         print(f"{word or '-'} {marker}")
     return EXIT_OK
 

@@ -4,16 +4,21 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from catalan_sset import catalan, delta
+from catalan_sset import catalan, delta, tamari
 from catalan_sset.catalan import (
+    HARD_LEVEL_BOUND,
     CatalanSet,
     LaxMatrix,
     act,
     catalan_number,
     enumerate_level,
+    interval_index,
+    intervals,
     lax_from_bits,
     level_export,
+    matrix_is_degenerate,
     nondegenerate_count,
+    nondegenerate_level,
     reference_counts,
 )
 from catalan_sset.errors import (
@@ -28,6 +33,69 @@ C = LaxMatrix(1, 1)
 T = lax_from_bits(2, (1, 1, 1))
 I = lax_from_bits(2, (0, 0, 1))
 L = lax_from_bits(3, (1, 0, 0, 1, 1, 1))
+
+
+def _closure_level(n):
+    """Oracle: fill the intervals in canonical order under the closure law."""
+    if n < 0:
+        raise LevelTooLargeError("level must be >= 0")
+    if n > HARD_LEVEL_BOUND:
+        raise LevelTooLargeError(
+            f"level {n} above the enumeration ceiling {HARD_LEVEL_BOUND}"
+        )
+    pos = intervals(n)
+    idx = interval_index(n)
+    count = len(pos)
+    # positions of the two maximal sub-intervals, or None for unit length
+    inner = [
+        None if j - i == 1 else (idx[(i, j - 1)], idx[(i + 1, j)]) for (i, j) in pos
+    ]
+    out: list[LaxMatrix] = []
+    vals = [0] * count
+
+    def rec(k: int, acc: int) -> None:
+        if k == count:
+            out.append(LaxMatrix(n, acc))
+            return
+        low = 0
+        if inner[k] is not None:
+            a, b = inner[k]
+            low = vals[a] if vals[a] >= vals[b] else vals[b]
+        if low == 0:
+            vals[k] = 0
+            rec(k + 1, acc << 1)
+        vals[k] = 1
+        rec(k + 1, (acc << 1) | 1)
+
+    rec(0, 0)
+    return tuple(out)
+
+
+def _ballot_rule_degenerate(r):
+    """Some i < n has r(i) = r(i+1) >= i+1 and no p < i has r(p) = i."""
+    return any(
+        r[i] == r[i + 1] >= i + 1 and i not in r[:i] for i in range(len(r) - 1)
+    )
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_enumerate_level_matches_the_closure_law_oracle(n):
+    assert enumerate_level(n) == _closure_level(n)
+
+
+@pytest.mark.parametrize(
+    "n", [*range(10), pytest.param(10, marks=pytest.mark.slow)]
+)
+def test_nondegenerate_level_matches_the_act_oracle(n):
+    assert nondegenerate_level(n) == tuple(
+        x for x in enumerate_level(n) if not matrix_is_degenerate(x)
+    )
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_ballot_rule_on_tamari_ballot_agrees_with_the_act_oracle(n):
+    for x in enumerate_level(n):
+        assert _ballot_rule_degenerate(tamari.ballot(x)) == matrix_is_degenerate(x)
 
 
 def test_level_two_is_exactly_the_five_tables():
@@ -158,6 +226,10 @@ def test_reference_counts():
 def test_level_ceiling():
     with pytest.raises(LevelTooLargeError):
         enumerate_level(15)
+    with pytest.raises(LevelTooLargeError):
+        nondegenerate_level(15)
+    with pytest.raises(LevelTooLargeError):
+        nondegenerate_level(-1)
     with pytest.raises(LevelTooLargeError):
         CatalanSet(15)
 
