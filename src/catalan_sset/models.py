@@ -7,11 +7,17 @@ closed downward in its first coordinate and upward in its second.  Both
 presentations transform along monotone maps by plain inverse image, which
 for ideals also agrees with sandwiching between the adjoint ideals of the
 map.
+
+Both are stored as one bitmask per row, so inverse image is a gather of
+rows through a per-map preimage table, and composing or comparing ideals
+is integer arithmetic on rows.  The conversions to and from interval tables
+still read pairs, through ``entry`` and the ``pairs`` view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -42,22 +48,118 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+_NO_STRAYS: frozenset = frozenset()
+_new = object.__new__
+_set = object.__setattr__  # the classes are frozen
+
+
+def _rows_from_pairs(pairs, row_top: int, col_top: int) -> tuple[tuple, frozenset]:
+    """Row masks of the pairs inside [row_top] x [col_top], and the rest.
+
+    Pairs outside the grid are kept aside rather than dropped, so the
+    validating conversions still see and refuse them.
+    """
+    rows = [0] * (row_top + 1)
+    stray = []
+    for (a, b) in pairs:
+        if 0 <= a <= row_top and 0 <= b <= col_top:
+            rows[a] |= 1 << b
+        else:
+            stray.append((a, b))
+    return tuple(rows), frozenset(stray)
+
+
+def _pairs_of_rows(rows: tuple, stray: frozenset) -> frozenset:
+    return frozenset(
+        (a, b) for a, r in enumerate(rows) for b in range(r.bit_length()) if r >> b & 1
+    ) | stray
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class InterpolativeRelation:
-    """A reflexive symmetric relation on [n] with the interpolation property."""
+    """A reflexive symmetric relation on [n] with the interpolation property.
+
+    Stored as one bitmask per row: bit b of ``rows[a]`` says (a, b) is
+    related.  ``pairs`` is a derived view.
+    """
 
     n: int
-    pairs: frozenset
+    rows: tuple[int, ...]
+    _stray: frozenset
+
+    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
+        rows, stray = _rows_from_pairs(pairs, n, n)
+        _set(self, "n", n)
+        _set(self, "rows", rows)
+        _set(self, "_stray", stray)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: tuple[int, ...]) -> "InterpolativeRelation":
+        rel = _new(cls)
+        _set(rel, "n", n)
+        _set(rel, "rows", rows)
+        _set(rel, "_stray", _NO_STRAYS)
+        return rel
+
+    @property
+    def pairs(self) -> frozenset:
+        return _pairs_of_rows(self.rows, self._stray)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IdealRelation:
     """An ideal [m_top] -/-> [n_top]: pairs (j, i) in [n_top] x [m_top],
-    closed under shrinking j and growing i."""
+    closed under shrinking j and growing i.
+
+    Stored as one bitmask per j in [n_top]: bit i of ``rows[j]`` says
+    (j, i) is in the ideal.  ``pairs`` is a derived view.
+    """
 
     m_top: int
     n_top: int
-    pairs: frozenset
+    rows: tuple[int, ...]
+    _stray: frozenset
+
+    def __init__(self, m_top: int, n_top: int, pairs: Iterable[tuple[int, int]]):
+        rows, stray = _rows_from_pairs(pairs, n_top, m_top)
+        _set(self, "m_top", m_top)
+        _set(self, "n_top", n_top)
+        _set(self, "rows", rows)
+        _set(self, "_stray", stray)
+
+    @classmethod
+    def _from_rows(cls, m_top: int, n_top: int, rows: tuple[int, ...]) -> "IdealRelation":
+        ideal = _new(cls)
+        _set(ideal, "m_top", m_top)
+        _set(ideal, "n_top", n_top)
+        _set(ideal, "rows", rows)
+        _set(ideal, "_stray", _NO_STRAYS)
+        return ideal
+
+    @property
+    def pairs(self) -> frozenset:
+        return _pairs_of_rows(self.rows, self._stray)
+
+
+@lru_cache(maxsize=None)
+def _gather_table(values: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """For a monotone map with these values into [n]: each row mask over [n]
+    sent to the mask of its preimage over the domain."""
+    fibre = [0] * (n + 1)
+    for p, v in enumerate(values):
+        fibre[v] |= 1 << p
+    table = [0] * (1 << (n + 1))
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] | fibre[low.bit_length() - 1]
+    return tuple(table)
+
+
+def _gather(xi: MonotoneMap, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Rows of the pairs (p, q) whose image (xi(p), xi(q)) lies in ``rows``:
+    row p is the preimage of row xi(p)."""
+    table = _gather_table(xi.values, xi.codomain_top)
+    return tuple([table[rows[v]] for v in xi.values])
 
 
 # -- interpolative relations ----------------------------------------------
@@ -93,26 +195,16 @@ def lax_to_relation(x: LaxMatrix) -> InterpolativeRelation:
 
 
 def relation_to_lax(rel: InterpolativeRelation) -> LaxMatrix:
-    _check_interpolative(rel.n, rel.pairs)
-    bits = (0 if (i, j) in rel.pairs else 1 for (i, j) in intervals(rel.n))
+    pairs = rel.pairs
+    _check_interpolative(rel.n, pairs)
+    bits = (0 if (i, j) in pairs else 1 for (i, j) in intervals(rel.n))
     return lax_from_bits(rel.n, bits)
-
-
-def _gather_pairs(xi: MonotoneMap, pairs: frozenset) -> frozenset:
-    """The pairs (p, q) of [m] x [m] whose image under xi lies in ``pairs``."""
-    m = xi.domain_top
-    return frozenset(
-        (p, q)
-        for p in range(m + 1)
-        for q in range(m + 1)
-        if (xi.values[p], xi.values[q]) in pairs
-    )
 
 
 def relation_pullback(xi: MonotoneMap, rel: InterpolativeRelation) -> InterpolativeRelation:
     if xi.codomain_top != rel.n:
         raise ShapeMismatchError("pullback endpoints do not match")
-    return InterpolativeRelation(xi.domain_top, _gather_pairs(xi, rel.pairs))
+    return InterpolativeRelation._from_rows(xi.domain_top, _gather(xi, rel.rows))
 
 
 # -- square ideals ---------------------------------------------------------
@@ -159,11 +251,12 @@ def ideal_to_lax(b: IdealRelation) -> LaxMatrix:
     if b.m_top != b.n_top:
         raise ShapeMismatchError("only square ideals present a simplex")
     n = b.n_top
-    if not _is_ideal(b.pairs, n, n):
+    pairs = b.pairs
+    if not _is_ideal(pairs, n, n):
         raise NotAnIdealError("pair set violates the ideal closure law")
-    if not all((j, i) in b.pairs for i in range(n + 1) for j in range(i + 1)):
+    if not all((j, i) in pairs for i in range(n + 1) for j in range(i + 1)):
         raise MissingIdentityIdealError("identity ideal not contained")
-    bits = (0 if (j, i) in b.pairs else 1 for (i, j) in intervals(n))
+    bits = (0 if (j, i) in pairs else 1 for (i, j) in intervals(n))
     return lax_from_bits(n, bits)
 
 
@@ -173,20 +266,33 @@ def compose_ideals(a: IdealRelation, b: IdealRelation) -> IdealRelation:
         raise ShapeMismatchError(
             f"cannot compose: middle ordinals [{b.n_top}] vs [{a.m_top}]"
         )
-    mids = {k for (_, k) in a.pairs} | {k for (k, _) in b.pairs}
-    pairs = frozenset(
-        (j, i)
-        for j in range(a.n_top + 1)
-        for i in range(b.m_top + 1)
-        if any((j, k) in a.pairs and (k, i) in b.pairs for k in mids)
-    )
-    return IdealRelation(b.m_top, a.n_top, pairs)
+    # row j of the composite ORs the rows of b that row j of a picks out
+    b_rows = b.rows
+    rows = []
+    for r in a.rows:
+        acc = 0
+        k = 0
+        while r:
+            if r & 1:
+                acc |= b_rows[k]
+            r >>= 1
+            k += 1
+        rows.append(acc)
+    # stray pairs still compose, through a middle index outside [a.m_top]
+    for (j, k) in a._stray:
+        if 0 <= j <= a.n_top:
+            for (k2, i) in b._stray:
+                if k2 == k and 0 <= i <= b.m_top:
+                    rows[j] |= 1 << i
+    return IdealRelation._from_rows(b.m_top, a.n_top, tuple(rows))
 
 
 def ideal_leq(a: IdealRelation, b: IdealRelation) -> bool:
     if (a.m_top, a.n_top) != (b.m_top, b.n_top):
         raise ShapeMismatchError("cannot compare ideals of different shapes")
-    return a.pairs <= b.pairs
+    return a._stray <= b._stray and all(
+        x & ~y == 0 for x, y in zip(a.rows, b.rows)
+    )
 
 
 def adjoint_ideals(xi: MonotoneMap) -> tuple[IdealRelation, IdealRelation]:
@@ -219,7 +325,7 @@ def ideal_pullback(xi: MonotoneMap, b: IdealRelation) -> IdealRelation:
     if b.m_top != b.n_top or xi.codomain_top != b.n_top:
         raise ShapeMismatchError("pullback needs a square ideal at the map's target")
     m = xi.domain_top
-    return IdealRelation(m, m, _gather_pairs(xi, b.pairs))
+    return IdealRelation._from_rows(m, m, _gather(xi, b.rows))
 
 
 def enumerate_square_ideals(n: int) -> tuple[IdealRelation, ...]:

@@ -110,24 +110,19 @@ def upward_closure(words) -> dict[str, frozenset]:
 
 
 def dyck_words(semilength: int) -> list[str]:
-    """All balanced words, by direct backtracking over prefixes."""
+    """All balanced words, by direct backtracking over prefixes ('U' first)."""
     out: list[str] = []
-    word: list[str] = []
-
-    def rec(ups: int, downs: int) -> None:
-        if ups == semilength and downs == semilength:
-            out.append("".join(word))
-            return
-        if ups < semilength:
-            word.append("U")
-            rec(ups + 1, downs)
-            word.pop()
+    stack = [("", 0, 0)]
+    while stack:
+        word, ups, downs = stack.pop()
+        if downs == semilength:
+            out.append(word)
+            continue
+        # pushed last, popped first: the 'U' branch is walked before the 'D' one
         if downs < ups:
-            word.append("D")
-            rec(ups, downs + 1)
-            word.pop()
-
-    rec(0, 0)
+            stack.append((word + "D", ups, downs + 1))
+        if ups < semilength:
+            stack.append((word + "U", ups + 1, downs))
     return out
 
 

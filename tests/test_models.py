@@ -217,3 +217,142 @@ def test_pullback_of_ideal_is_ideal(data):
     pulled = ideal_pullback(xi, lax_to_ideal(x))
     assert models._is_ideal(pulled.pairs, m, m)
     assert ideal_leq(identity_ideal(m), pulled)
+
+
+# -- row storage against the pair-set oracle -------------------------------------
+
+
+def _oracle_gather(xi, pairs):
+    """The pairs (p, q) of [m] x [m] whose image under xi lies in ``pairs``."""
+    m = xi.domain_top
+    return frozenset(
+        (p, q)
+        for p in range(m + 1)
+        for q in range(m + 1)
+        if (xi.values[p], xi.values[q]) in pairs
+    )
+
+
+def _oracle_compose(a_pairs, b_pairs, n_top, m_top):
+    """Relational composite on pair sets, read on [n_top] x [m_top]."""
+    mids = {k for (_, k) in a_pairs} | {k for (k, _) in b_pairs}
+    return frozenset(
+        (j, i)
+        for j in range(n_top + 1)
+        for i in range(m_top + 1)
+        if any((j, k) in a_pairs and (k, i) in b_pairs for k in mids)
+    )
+
+
+def test_pullbacks_match_the_pair_oracle_to_level_four():
+    for n in range(5):
+        level = enumerate_level(n)
+        for m in range(5):
+            for xi in delta.all_maps(m, n):
+                for x in level:
+                    b = lax_to_ideal(x)
+                    rel = lax_to_relation(x)
+                    assert ideal_pullback(xi, b).pairs == _oracle_gather(xi, b.pairs)
+                    assert relation_pullback(xi, rel).pairs == _oracle_gather(
+                        xi, rel.pairs
+                    )
+
+
+def _calculus_cases():
+    """Every square ideal at n <= 3 and the adjoint ideals of every map with
+    endpoints <= 3, grouped by shape."""
+    by_shape = {}
+    for n in range(4):
+        for b in enumerate_square_ideals(n):
+            by_shape.setdefault((n, n), []).append(b)
+    for m in range(4):
+        for n in range(4):
+            for xi in delta.all_maps(m, n):
+                for b in adjoint_ideals(xi):
+                    by_shape.setdefault((b.m_top, b.n_top), []).append(b)
+    return by_shape
+
+
+def test_compose_and_leq_match_the_pair_oracle():
+    by_shape = _calculus_cases()
+    for (m_b, mid), bs in by_shape.items():
+        for (m_a, n_a), as_ in by_shape.items():
+            if m_a != mid:
+                continue
+            for a in as_:
+                for b in bs:
+                    got = compose_ideals(a, b)
+                    assert (got.m_top, got.n_top) == (m_b, n_a)
+                    assert got.pairs == _oracle_compose(a.pairs, b.pairs, n_a, m_b)
+    for ideals in by_shape.values():
+        for a in ideals:
+            for b in ideals:
+                assert ideal_leq(a, b) == (a.pairs <= b.pairs)
+
+
+_pair_sets = st.frozensets(
+    st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=12
+)
+
+
+@given(st.integers(0, 3), st.integers(0, 3), _pair_sets)
+def test_constructors_keep_every_pair(m, n, pairs):
+    assert IdealRelation(m, n, pairs).pairs == pairs
+    assert InterpolativeRelation(n, pairs).pairs == pairs
+    assert IdealRelation(m, n, set(pairs)) == IdealRelation(m, n, pairs)
+
+
+@given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), _pair_sets, _pair_sets)
+def test_calculus_matches_the_pair_oracle_with_stray_pairs(m, k, n, a_pairs, b_pairs):
+    a = IdealRelation(k, n, a_pairs)
+    b = IdealRelation(m, k, b_pairs)
+    assert compose_ideals(a, b).pairs == _oracle_compose(a_pairs, b_pairs, n, m)
+    c = IdealRelation(k, n, b_pairs)
+    assert ideal_leq(a, c) == (a_pairs <= b_pairs)
+
+
+def test_valid_pair_sets_round_trip_through_the_constructors():
+    for n in range(5):
+        for b in enumerate_square_ideals(n):
+            assert IdealRelation(n, n, set(b.pairs)).pairs == b.pairs
+        for x in enumerate_level(n):
+            pairs = set(lax_to_relation(x).pairs)
+            assert InterpolativeRelation(n, pairs).pairs == frozenset(pairs)
+    for m in range(4):
+        for n in range(4):
+            for xi in delta.all_maps(m, n):
+                for b in adjoint_ideals(xi):
+                    assert IdealRelation(b.m_top, b.n_top, b.pairs) == b
+
+
+def test_pullbacks_equal_and_hash_like_the_converted_action():
+    from catalan_sset.catalan import act
+
+    for n in range(4):
+        for m in range(4):
+            for xi in delta.all_maps(m, n):
+                for x in enumerate_level(n):
+                    y = act(xi, x)
+                    pulled = (
+                        ideal_pullback(xi, lax_to_ideal(x)),
+                        relation_pullback(xi, lax_to_relation(x)),
+                    )
+                    built = (lax_to_ideal(y), lax_to_relation(y))
+                    assert pulled == built
+                    assert list(map(hash, pulled)) == list(map(hash, built))
+
+
+@pytest.mark.parametrize("stray", [(0, 5), (-1, 0), (5, 0), (0, -1)])
+def test_stray_pairs_are_kept_and_refused(stray):
+    diag = {(0, 0), (1, 1)}
+    rel = InterpolativeRelation(1, diag | {stray})
+    assert stray in rel.pairs
+    assert rel != InterpolativeRelation(1, diag)
+    with pytest.raises(NotInterpolativeError):
+        relation_to_lax(rel)
+    ideal = IdealRelation(1, 1, identity_ideal(1).pairs | {stray})
+    assert stray in ideal.pairs
+    assert ideal != identity_ideal(1)
+    with pytest.raises(NotAnIdealError):
+        ideal_to_lax(ideal)
+

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from catalan_sset import delta
@@ -25,6 +27,38 @@ def test_path_counts(n, expected):
 def test_path_count_matches_closed_form():
     for s in range(1, 9):
         assert dyck_count(s) == catalan_number(s)
+
+
+def _recursive_dyck_words(semilength):
+    """Recursive backtracking over prefixes, 'U' tried first: the order oracle."""
+    out, word = [], []
+
+    def rec(ups, downs):
+        if ups == semilength and downs == semilength:
+            out.append("".join(word))
+            return
+        if ups < semilength:
+            word.append("U")
+            rec(ups + 1, downs)
+            word.pop()
+        if downs < ups:
+            word.append("D")
+            rec(ups, downs + 1)
+            word.pop()
+
+    rec(0, 0)
+    return out
+
+
+def test_dyck_words_keep_the_recursive_order():
+    for s in range(9):
+        assert dyck_words(s) == _recursive_dyck_words(s)
+
+
+def test_dyck_words_leave_no_cyclic_garbage():
+    gc.collect()
+    dyck_words(8)
+    assert gc.collect() == 0
 
 
 def test_words_are_balanced_with_prefix_property():
