@@ -12,7 +12,6 @@ from .catalan import (
     catalan_number,
     enumerate_level,
     lax_from_bits,
-    level_count,
     level_export,
     matrix_is_degenerate,
     nondegenerate_count,

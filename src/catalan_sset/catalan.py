@@ -39,7 +39,6 @@ __all__ = [
     "interval_index",
     "lax_from_bits",
     "enumerate_level",
-    "level_count",
     "act",
     "catalan_number",
     "reference_counts",
@@ -159,10 +158,6 @@ def _ballot_level(n: int, nondegenerate: bool) -> tuple[LaxMatrix, ...]:
 def enumerate_level(n: int) -> tuple[LaxMatrix, ...]:
     """All simplices at a level, in lexicographic (canonical) order."""
     return _ballot_level(n, nondegenerate=False)
-
-
-def level_count(n: int) -> int:
-    return len(enumerate_level(n))
 
 
 @lru_cache(maxsize=None)

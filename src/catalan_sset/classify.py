@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import sset
 from .bicats import (
@@ -164,8 +165,15 @@ def _record_key(record: dict) -> tuple:
 # -- map enumeration ----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _catalan_source() -> CatalanSet:
+    """The 4-truncated Catalan set, one per process: every map search starts
+    from it, so its levels and act tables are built once for all verdicts."""
+    return CatalanSet(4)
+
+
 def _map_records(nerve: sset.TruncatedSimplicialSet) -> list[dict]:
-    enum = sset.enumerate_truncated_maps(CatalanSet(4), nerve, 4)
+    enum = sset.enumerate_truncated_maps(_catalan_source(), nerve, 4)
     return sorted((_record_of_map(f) for f in enum.maps), key=_record_key)
 
 
@@ -179,25 +187,22 @@ def maps_from_catalan(target: PosetalBicat) -> list[dict]:
 def direct_classification(b: PosetalMonoidalBicat) -> list[dict]:
     """Enumerate generating data and keep those whose induced images all fill.
 
-    A candidate survives when, for every catalogued simplex, the simplex
-    assembled from its data is present at the corresponding nerve level;
-    the level-3 entries are where the structural inequalities bite and the
-    level-4 entries must never cut anything further.
+    A candidate survives when, for every catalogued simplex, the nerve
+    contains the simplex assembled from its data; the level-3 entries are
+    where the structural inequalities bite and the level-4 entries must
+    never cut anything further.
     """
     return _direct_records(MonoidalNerve(b))
 
 
 def _direct_records(nerve: MonoidalNerve) -> list[dict]:
     b = nerve.b
-    level_sets = {n: set(nerve.level(n)) for n in range(5)}
     records = []
     for a in b.objects:
         for t in b.hom(b.tensor_objects(a, a), a):
             for i in b.hom(b.unit_object, a):
                 record = _monoidal_images(b, a, t, i)
-                if all(
-                    record[ns.name] in level_sets[ns.level] for ns in catalogue()
-                ):
+                if all(nerve.contains(x) for x in record.values()):
                     records.append(record)
     records.sort(key=_record_key)
     return records
@@ -247,10 +252,6 @@ class ClassificationReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-def _describe(code) -> str:
-    return repr(code)
-
-
 def verify_theorem(b: PosetalMonoidalBicat, input_name: str = "input") -> ClassificationReport:
     """Compare generic map enumeration, direct classification and the
     internal structures; OK means all three agree bijectively."""
@@ -276,7 +277,7 @@ def verify_theorem(b: PosetalMonoidalBicat, input_name: str = "input") -> Classi
         )
     correspondence = tuple(
         (
-            {name: _describe(code) for name, code in rec.items()},
+            {name: repr(code) for name, code in rec.items()},
             {"carrier": tr[0], "mult": tr[1], "unit": tr[2]},
         )
         for rec, tr in zip(generic, triples_of_maps)
@@ -320,7 +321,7 @@ def verify_monad_remark(k: PosetalBicat, input_name: str = "input") -> Classific
         failures.append("monad-induced images differ from the enumerated maps")
     correspondence = tuple(
         (
-            {name: _describe(code) for name, code in rec.items()},
+            {name: repr(code) for name, code in rec.items()},
             {"carrier": pr[0], "endo": pr[1]},
         )
         for rec, pr in zip(records, pairs_of_maps)

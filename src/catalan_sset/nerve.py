@@ -8,6 +8,11 @@ more is ever required because parallel 2-cells in a poset are equal.  The
 plain nerve of a posetal 2-category stores an object per vertex and a
 1-cell per interval with a triple inequality.
 
+From level 3 (monoidal) or level 2 (plain) every stored object and cell
+of a simplex lies in one of its faces, so a simplex is its boundary plus
+the inequalities: ``fillers`` assembles the one candidate from the faces
+and keeps it when ``contains`` accepts it, instead of scanning the level.
+
 Pulling back along a monotone map restricts the stored data; collapsed
 intervals receive the unit object (or the vertex object) and collapsed
 triples receive identity cells, which is exactly what strictness makes of
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
+from . import delta
 from .bicats import (
     PosetalBicat,
     PosetalMonoidalBicat,
@@ -71,6 +77,16 @@ def _restriction(xi: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for (p, q, r) in triples(m)
     )
     return objs, cells
+
+
+def _merge(slots: list, sources, values) -> bool:
+    """Write values[k] into slots[sources[k]]; False if a filled slot differs."""
+    for k, v in zip(sources, values):
+        if slots[k] is None:
+            slots[k] = v
+        elif slots[k] != v:
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +201,43 @@ class MonoidalNerve(TruncatedSimplicialSet):
         assign_objects(0)
         return tuple(results)
 
+    def contains(self, x: MonoidalNerveSimplex) -> bool:
+        """Whether x is a simplex: known objects, every cell in its hom, and
+        every quadruple's inequality."""
+        b, n = self.b, x.n
+        idx = interval_index(n)
+        objs, cells = x.objects, x.cells
+        if len(objs) != len(idx) or len(cells) != len(triples(n)):
+            return False
+        if not all(o in b.objects for o in objs):
+            return False
+        for (i, j, k), cell in zip(triples(n), cells):
+            dom = b.tensor_objects(objs[idx[(j, k)]], objs[idx[(i, j)]])
+            if cell not in b.hom(dom, objs[idx[(i, k)]]):
+                return False
+        return all(
+            self._quad_ok(objs, cells, n, quad)
+            for quad in combinations(range(n + 1), 4)
+        )
+
+    def fillers(self, n: int, entries: tuple, pruned: list | None = None) -> list:
+        """From level 3 every interval and triple lies in a face, so the
+        entries determine the one candidate; it fills when ``contains`` it.
+        Nothing is recorded in ``pruned``."""
+        if n < 3:
+            return super().fillers(n, entries, pruned)
+        self._check_level(n)
+        objs: list = [None] * len(intervals(n))
+        cells: list = [None] * len(triples(n))
+        for i, face in enumerate(entries):
+            obj_src, cell_src = _restriction(delta.face(i, n))
+            if not (
+                _merge(objs, obj_src, face.objects) and _merge(cells, cell_src, face.cells)
+            ):
+                return []
+        x = MonoidalNerveSimplex(n, tuple(objs), tuple(cells))
+        return [x] if self.contains(x) else []
+
     # -- simplicial-set interface ----------------------------------------
 
     def act(self, xi: MonotoneMap, x: MonoidalNerveSimplex) -> MonoidalNerveSimplex:
@@ -233,6 +286,44 @@ class BicatNerve(TruncatedSimplicialSet):
         for verts in product(k.objects, repeat=n + 1):
             assign_cells(0, verts)
         return tuple(results)
+
+    def contains(self, x: BicatNerveSimplex) -> bool:
+        """Whether x is a simplex: known vertices, every cell in its hom, and
+        every triple's inequality."""
+        k, n = self.k, x.n
+        verts, cells = x.vertices, x.cells
+        if len(verts) != n + 1 or len(cells) != len(intervals(n)):
+            return False
+        if not all(v in k.objects for v in verts):
+            return False
+        if not all(
+            cell in k.hom(verts[i], verts[j])
+            for (i, j), cell in zip(intervals(n), cells)
+        ):
+            return False
+        return all(
+            k.leq_cells(k.compose_cells(x.cell_at(q, j), x.cell_at(i, q)), x.cell_at(i, j))
+            for (i, q, j) in triples(n)
+        )
+
+    def fillers(self, n: int, entries: tuple, pruned: list | None = None) -> list:
+        """From level 2 every vertex and interval lies in a face, so the
+        entries determine the one candidate; it fills when ``contains`` it.
+        Nothing is recorded in ``pruned``."""
+        if n < 2:
+            return super().fillers(n, entries, pruned)
+        self._check_level(n)
+        verts: list = [None] * (n + 1)
+        cells: list = [None] * len(intervals(n))
+        for i, face in enumerate(entries):
+            xi = delta.face(i, n)
+            if not (
+                _merge(verts, xi.values, face.vertices)
+                and _merge(cells, _restriction(xi)[0], face.cells)
+            ):
+                return []
+        x = BicatNerveSimplex(n, tuple(verts), tuple(cells))
+        return [x] if self.contains(x) else []
 
     def act(self, xi: MonotoneMap, x: BicatNerveSimplex) -> BicatNerveSimplex:
         if xi.codomain_top != x.n:

@@ -10,7 +10,6 @@ simplicial maps are all derived here and work against any implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Iterator, Sequence
 
 from . import delta
@@ -48,6 +47,7 @@ class TruncatedSimplicialSet:
         self.top_level = top_level
         self._levels: dict[int, Sequence[Code]] = {}
         self._face_tables: dict[int, tuple[tuple[Code, ...], ...]] = {}
+        self._act_tables: dict[MonotoneMap, tuple[Code, ...]] = {}
 
     # -- interface -----------------------------------------------------
 
@@ -78,6 +78,34 @@ class TruncatedSimplicialSet:
                 rows.append(tuple(canon.get(f, f) for f in faces))
             self._face_tables[n] = tuple(rows)
         return self._face_tables[n]
+
+    def act_table(self, xi: MonotoneMap) -> tuple[Code, ...]:
+        """``act(xi, x)`` for every x of ``level(xi.codomain_top)``, in level
+        order, computed once per map."""
+        if xi not in self._act_tables:
+            self._act_tables[xi] = tuple(
+                self.act(xi, x) for x in self.level(xi.codomain_top)
+            )
+        return self._act_tables[xi]
+
+    def fillers(self, n: int, entries: tuple, pruned: list | None = None) -> list[Code]:
+        """The simplices of ``level(n)`` whose faces d_0..d_n are ``entries``.
+
+        The default scans the face table in level order and appends
+        ``(candidate, i, d_i(candidate))`` to ``pruned`` for each rejected
+        candidate, i its first face that differs.  A subclass that builds
+        fillers from the entries instead may override it and record nothing.
+        """
+        if n == 0:
+            return list(self.level(0)) if entries == () else []
+        out = []
+        for x, row in zip(self.level(n), self.face_table(n)):
+            if row == entries:
+                out.append(x)
+            elif pruned is not None:
+                i = next(i for i in range(n + 1) if row[i] != entries[i])
+                pruned.append((x, i, row[i]))
+        return out
 
     def _check_level(self, n: int, low: int = 0) -> None:
         if not low <= n <= self.top_level:
@@ -291,16 +319,26 @@ def compatible_boundaries(X: TruncatedSimplicialSet, n: int) -> Iterator[Boundar
     X._check_level(n - 1)
     cells = X.level(n - 1)
     face_rows = dict(zip(cells, X.face_table(n - 1))) if n >= 2 else None
+    # entry e >= 1 must have d_0 = d_{e-1}(entry 0), so its candidates are
+    # read from the group of that d_0, kept in level order
+    by_first_face: dict[Code, list[Code]] = {}
+    if face_rows is not None:
+        for x, row in face_rows.items():
+            by_first_face.setdefault(row[0], []).append(x)
     chosen: list[Code] = []
 
     def rec(e: int) -> Iterator[Boundary]:
         if e == n + 1:
             yield Boundary(n, tuple(chosen))
             return
-        for x in cells:
+        if face_rows is None or e == 0:
+            candidates = cells
+        else:
+            candidates = by_first_face.get(face_rows[chosen[0]][e - 1], ())
+        for x in candidates:
             if face_rows is not None and e >= 1:
                 row = face_rows[x]
-                if any(face_rows[chosen[i]][e - 1] != row[i] for i in range(e)):
+                if any(face_rows[chosen[i]][e - 1] != row[i] for i in range(1, e)):
                     continue
             chosen.append(x)
             yield from rec(e + 1)
@@ -310,8 +348,8 @@ def compatible_boundaries(X: TruncatedSimplicialSet, n: int) -> Iterator[Boundar
 
 
 def fillers(X: TruncatedSimplicialSet, b: Boundary) -> list[Code]:
-    n = b.dimension
-    return [x for x, row in zip(X.level(n), X.face_table(n)) if row == b.entries]
+    """The face-table scan, whatever X overrides: the oracle for ``X.fillers``."""
+    return TruncatedSimplicialSet.fillers(X, b.dimension, b.entries)
 
 
 @dataclass(frozen=True)
@@ -407,15 +445,23 @@ def _filler_spot_check(Y: TruncatedSimplicialSet, r: int) -> None:
 
 
 def naturality_failures(f: TruncatedMap) -> list[tuple[MonotoneMap, Code]]:
-    """Every monotone map with endpoints <= r is replayed against f's table."""
+    """Every monotone map with endpoints <= r is replayed against f's table.
+
+    The source side is read from ``X.act_table``; the target side is computed
+    once per distinct image.
+    """
     X, Y, r = f.source, f.target, f.r
     table = f.full_table()
     bad = []
     for n in range(r + 1):
+        xs = X.level(n)
+        images = [table[(n, x)] for x in xs]
+        distinct = set(images)
         for m in range(r + 1):
             for xi in delta.all_maps(m, n):
-                for x in X.level(n):
-                    if Y.act(xi, table[(n, x)]) != table[(m, X.act(xi, x))]:
+                moved = {y: Y.act(xi, y) for y in distinct}
+                for x, y, x_moved in zip(xs, images, X.act_table(xi)):
+                    if moved[y] != table[(m, x_moved)]:
                         bad.append((xi, x))
     return bad
 
@@ -430,8 +476,10 @@ def enumerate_truncated_maps(
     """All simplicial maps between the r-truncations of X and Y.
 
     Candidate images are chosen only on non-degenerate simplices of X
-    (naturality forces the degenerate ones); every completed assignment is
-    then re-checked against every monotone map with endpoints <= r.  With
+    (naturality forces the degenerate ones), from ``Y.fillers`` of the
+    images of their faces; ``rejections`` holds the candidates a scanning
+    ``Y.fillers`` pruned.  Every completed assignment is then re-checked
+    against every monotone map with endpoints <= r.  With
     ``coskeletal_check`` the target's boundaries one level above r are first
     verified to have unique fillers, which is what makes the truncated maps
     extend uniquely.
@@ -456,12 +504,12 @@ def enumerate_truncated_maps(
             return
         n, x = nd[k]
         required = tuple(image_of(n - 1, X.face(i, n, x)) for i in range(n + 1)) if n else ()
-        rows = Y.face_table(n) if n else repeat(())
-        for y, row in zip(Y.level(n), rows):
-            if row != required:
-                i = next(i for i in range(n + 1) if row[i] != required[i])
-                rejections.append(RejectionWitness(n, x, y, i, required[i], row[i]))
-                continue
+        pruned: list = []
+        candidates = Y.fillers(n, required, pruned)
+        rejections.extend(
+            RejectionWitness(n, x, y, i, required[i], found) for y, i, found in pruned
+        )
+        for y in candidates:
             images[(n, x)] = y
             rec(k + 1)
             del images[(n, x)]

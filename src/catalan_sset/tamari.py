@@ -127,7 +127,19 @@ def dyck_words(semilength: int) -> list[str]:
 
 
 def dyck_count(semilength: int) -> int:
-    return len(dyck_words(semilength))
+    """The number of leaves of the ``dyck_words`` walk, without the words."""
+    count = 0
+    stack = [(0, 0)]
+    while stack:
+        ups, downs = stack.pop()
+        if downs == semilength:
+            count += 1
+            continue
+        if downs < ups:
+            stack.append((ups, downs + 1))
+        if ups < semilength:
+            stack.append((ups + 1, downs))
+    return count
 
 
 def dyck_crosscheck(n: int) -> int:

@@ -8,8 +8,16 @@ from catalan_sset.bicats import PosetalMonoidalBicat, embed
 from catalan_sset.catalan import CatalanSet, LaxMatrix, lax_from_bits
 from catalan_sset.errors import LevelOutOfRangeError, NotCoskeletalError
 from catalan_sset.inputs import load_suite, suite_names
-from catalan_sset.nerve import BicatNerve, MonoidalNerve
+from catalan_sset.catalan import intervals
+from catalan_sset.nerve import (
+    BicatNerve,
+    BicatNerveSimplex,
+    MonoidalNerve,
+    MonoidalNerveSimplex,
+    triples,
+)
 from catalan_sset.sset import (
+    Boundary,
     PointSimplicialSet,
     TableSimplicialSet,
     boundary_of,
@@ -277,3 +285,100 @@ def test_fillers_agree_with_the_boundary_scan(face_table_spaces):
         boundaries = {x: boundary_of(X, x, 3) for x in X.level(3)}
         for b in compatible_boundaries(X, 3):
             assert fillers(X, b) == [x for x in X.level(3) if boundaries[x] == b], name
+
+
+def test_compatible_boundaries_equal_the_filtered_product(face_table_spaces):
+    for name, X, _ in face_table_spaces:
+        for n in (2, 3):
+            cells = X.level(n - 1)
+            if len(cells) ** (n + 1) > 5000:  # keep the product filter cheap
+                continue
+            expected = [
+                Boundary(n, entries)
+                for entries in product(cells, repeat=n + 1)
+                if is_compatible_boundary(X, Boundary(n, entries))
+            ]
+            assert list(compatible_boundaries(X, n)) == expected, (name, n)
+
+
+# -- constructive nerve fillers and membership ---------------------------------------
+
+
+def _nerves(spaces):
+    return [(name, X) for name, X, _ in spaces if isinstance(X, (MonoidalNerve, BicatNerve))]
+
+
+def _filled_levels(X):
+    """The levels where the nerve builds fillers from the boundary."""
+    return (3, 4) if isinstance(X, MonoidalNerve) else (2, 3, 4)
+
+
+def _scan_index(X, n):
+    """The scan ``fillers(X, b)`` for every b at once: level n grouped by
+    face row, each group in level order."""
+    index = {}
+    for x, row in zip(X.level(n), X.face_table(n)):
+        index.setdefault(row, []).append(x)
+    return index
+
+
+def test_nerve_fillers_equal_the_scan(face_table_spaces):
+    for name, X in _nerves(face_table_spaces):
+        for n in _filled_levels(X):
+            index = _scan_index(X, n)
+            boundaries = list(compatible_boundaries(X, n))
+            for b in boundaries:
+                assert X.fillers(n, b.entries) == index.get(b.entries, []), (name, n, b)
+            # the index against the scan it stands for, on the first boundaries
+            for b in boundaries[:20]:
+                assert fillers(X, b) == index.get(b.entries, []), (name, n, b)
+            # one entry swapped for each simplex of its level; most swaps are
+            # incompatible, and then both sides must be empty
+            cells = X.level(n - 1)
+            for b in boundaries[:: max(1, len(boundaries) // 12)]:
+                for e in range(n + 1):
+                    for y in cells:
+                        entries = b.entries[:e] + (y,) + b.entries[e + 1:]
+                        got = X.fillers(n, entries)
+                        assert got == index.get(entries, []), (name, n, entries)
+
+
+def test_contains_accepts_every_simplex(face_table_spaces):
+    for name, X in _nerves(face_table_spaces):
+        for n in range(5):
+            assert all(X.contains(x) for x in X.level(n)), (name, n)
+
+
+def _product_space(X, n):
+    """Every simplex-shaped record at level n over the input's objects and
+    cell names, plus one name foreign to both."""
+    if isinstance(X, MonoidalNerve):
+        b, shape, make = X.b, (len(intervals(n)), len(triples(n))), MonoidalNerveSimplex
+    else:
+        b, shape, make = X.k, (n + 1, len(intervals(n))), BicatNerveSimplex
+    objects = tuple(b.objects) + ("?",)
+    cells = tuple(c.name for c in b.cells) + ("?",)
+    for objs in product(objects, repeat=shape[0]):
+        for cs in product(cells, repeat=shape[1]):
+            yield make(n, objs, cs)
+
+
+def test_contains_is_membership_at_low_levels(face_table_spaces):
+    for name, X in _nerves(face_table_spaces):
+        for n in range(3):
+            members = set(X.level(n))
+            accepted = {x for x in _product_space(X, n) if X.contains(x)}
+            assert accepted == members, (name, n)
+
+
+def test_map_search_into_a_nerve_records_only_scanned_levels():
+    for X in (
+        MonoidalNerve(embed(load_suite("chain3-max"))),
+        BicatNerve(load_suite("chain2-discrete")),
+    ):
+        scanned = _filled_levels(X)[0] - 1
+        enum = enumerate_truncated_maps(CatalanSet(4), X, 4)
+        assert enum.rejections
+        for w in enum.rejections:
+            assert w.level <= scanned
+            assert X.face(w.face_index, w.level, w.candidate) == w.found != w.required

@@ -29,6 +29,11 @@ def test_path_count_matches_closed_form():
         assert dyck_count(s) == catalan_number(s)
 
 
+def test_path_count_counts_the_words():
+    for s in range(11):
+        assert dyck_count(s) == len(dyck_words(s))
+
+
 def _recursive_dyck_words(semilength):
     """Recursive backtracking over prefixes, 'U' tried first: the order oracle."""
     out, word = [], []
