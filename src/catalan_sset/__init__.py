@@ -13,7 +13,6 @@ from .catalan import (
     enumerate_level,
     lax_from_bits,
     level_export,
-    matrix_is_degenerate,
     nondegenerate_count,
     nondegenerate_level,
     reference_counts,
@@ -48,12 +47,10 @@ from .models import (
     relation_pullback,
     relation_to_lax,
 )
-from .nerve import BicatNerve, MonoidalNerve, bicat_nerve_level, monoidal_nerve_level
+from .nerve import BicatNerve, MonoidalNerve
 from .posets import MonoidalPoset, validate_monoidal_poset
 from .sset import (
     Boundary,
-    PointSimplicialSet,
-    TableSimplicialSet,
     TruncatedSimplicialSet,
     boundary_of,
     compatible_boundaries,

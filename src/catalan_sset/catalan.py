@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from . import delta, sset
+from . import sset
 from .delta import MonotoneMap
 from .errors import (
     DomainMismatchError,
@@ -42,7 +42,6 @@ __all__ = [
     "act",
     "catalan_number",
     "reference_counts",
-    "matrix_is_degenerate",
     "nondegenerate_level",
     "nondegenerate_count",
     "level_export",
@@ -199,15 +198,6 @@ def reference_counts(n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return (
         tuple(catalan_number(n + 1) for n in range(n_max + 1)),
         MOTZKIN[: n_max + 1],
-    )
-
-
-def matrix_is_degenerate(x: LaxMatrix) -> bool:
-    if x.n == 0:
-        return False
-    return any(
-        act(delta.degeneracy(i, x.n - 1), act(delta.face(i, x.n), x)) == x
-        for i in range(x.n)
     )
 
 

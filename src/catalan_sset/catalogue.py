@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import delta
-from .catalan import LaxMatrix, act, enumerate_level, matrix_is_degenerate
+from .catalan import CatalanSet, LaxMatrix, act, enumerate_level
 
 __all__ = [
     "FaceRef",
@@ -158,9 +158,9 @@ def verify_catalogue() -> CatalogueReport:
     by_level: dict[int, set[LaxMatrix]] = {}
     for ns in catalogue():
         by_level.setdefault(ns.level, set()).add(ns.matrix)
+    census = CatalanSet(max(by_level))
     for level, entries in by_level.items():
-        nd = {x for x in enumerate_level(level) if not matrix_is_degenerate(x)}
-        if entries != nd:
+        if entries != set(census.nondegenerate(level)):
             mismatches.append(
                 f"level {level}: named entries differ from the non-degenerate simplices"
             )

@@ -203,15 +203,11 @@ def _cmd_export(args, parser) -> int:
     n = _level_arg(parser, args.n)
     doc = level_export(n)
     text = json.dumps(doc, sort_keys=True) + "\n"
-    try:
-        if args.output == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.output == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return EXIT_OK
 
 
@@ -235,7 +231,7 @@ def main(argv=None) -> int:
     except CatalanSetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -28,8 +28,6 @@ __all__ = [
     "compose",
     "all_maps",
     "epi_mono_indices",
-    "epi_mono_factor",
-    "recompose",
 ]
 
 
@@ -142,19 +140,3 @@ def epi_mono_indices(
         values = [v if v < gap else v - 1 for v in values]
         top -= 1
     return tuple(degs), tuple(reversed(faces_rev))
-
-
-def epi_mono_factor(xi: MonotoneMap) -> list[MonotoneMap]:
-    """Factor xi into generator maps, listed in application order."""
-    degs, faces = epi_mono_indices(xi)
-    parts = [degeneracy(i, lvl) for i, lvl in degs]
-    parts.extend(face(i, lvl) for i, lvl in faces)
-    return parts
-
-
-def recompose(parts: list[MonotoneMap], domain_top: int) -> MonotoneMap:
-    """Compose generator maps given in application order."""
-    acc = identity(domain_top)
-    for g in parts:
-        acc = compose(g, acc)
-    return acc

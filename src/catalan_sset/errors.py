@@ -29,10 +29,6 @@ class LevelTooLargeError(CatalanSetError, ValueError):
     """A level beyond the configured enumeration ceiling was requested."""
 
 
-class NotCoskeletalError(CatalanSetError):
-    """A filler spot check found a boundary without exactly one filler."""
-
-
 class NotInterpolativeError(CatalanSetError, ValueError):
     """A relation fails reflexivity, symmetry, or interpolation."""
 

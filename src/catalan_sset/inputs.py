@@ -77,7 +77,7 @@ def _pair_list(doc: dict, key: str) -> frozenset:
     return frozenset((a, b) for a, b in pairs)
 
 
-def parse_document(doc: dict, *, validate: bool = True):
+def parse_document(doc: dict):
     """Parse a JSON document into a poset or 2-category, by its exact key set."""
     if not isinstance(doc, dict):
         raise InvalidInputError("input must be a JSON object")
@@ -89,8 +89,7 @@ def parse_document(doc: dict, *, validate: bool = True):
             tensor=_pair_table(doc, "tensor"),
             unit=_name(doc, "unit"),
         )
-        if validate:
-            require_valid(validate_monoidal_poset(out))
+        require_valid(validate_monoidal_poset(out))
         return out
     if keys == BICAT_KEYS or keys == MONOIDAL_BICAT_KEYS:
         cells = doc["cells"]
@@ -114,8 +113,7 @@ def parse_document(doc: dict, *, validate: bool = True):
         )
         if keys == BICAT_KEYS:
             out = PosetalBicat(**common)
-            if validate:
-                require_valid(validate_bicat(out))
+            require_valid(validate_bicat(out))
             return out
         out = PosetalMonoidalBicat(
             **common,
@@ -123,8 +121,7 @@ def parse_document(doc: dict, *, validate: bool = True):
             cell_tensor=_pair_table(doc, "cell_tensor"),
             unit_object=_name(doc, "unit_object"),
         )
-        if validate:
-            require_valid(validate_monoidal_bicat(out))
+        require_valid(validate_monoidal_bicat(out))
         return out
     raise InvalidInputError(
         "unrecognised key set; expected exactly a monoidal poset "

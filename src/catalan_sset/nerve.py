@@ -13,10 +13,11 @@ of a simplex lies in one of its faces, so a simplex is its boundary plus
 the inequalities: ``fillers`` assembles the one candidate from the faces
 and keeps it when ``contains`` accepts it, instead of scanning the level.
 
-Pulling back along a monotone map restricts the stored data; collapsed
-intervals receive the unit object (or the vertex object) and collapsed
-triples receive identity cells, which is exactly what strictness makes of
-the general degeneracy formulas.
+Both nerves pull back along a monotone map through one cached restriction
+plan, ``_restriction``: the stored data is restricted, collapsed intervals
+receive the unit object (monoidal) or the identity cell on their first
+vertex (plain), and collapsed triples receive identity cells, which is
+exactly what strictness makes of the general degeneracy formulas.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ __all__ = [
     "BicatNerve",
     "triples",
     "triple_index",
-    "monoidal_nerve_level",
-    "bicat_nerve_level",
 ]
 
 
@@ -68,6 +67,7 @@ def _restriction(xi: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
     when k is -1; a cell is read at position k, or when k < 0 it is the
     identity on object ~k of the pulled-back simplex: a collapsed triple
     gets the identity on its outer interval, the unit's when all collapse.
+    The plain nerve reads its interval cells from the object part.
     """
     v, m = xi.values, xi.domain_top
     idx, tdx = interval_index(xi.codomain_top), triple_index(xi.codomain_top)
@@ -328,22 +328,10 @@ class BicatNerve(TruncatedSimplicialSet):
     def act(self, xi: MonotoneMap, x: BicatNerveSimplex) -> BicatNerveSimplex:
         if xi.codomain_top != x.n:
             raise DomainMismatchError("map endpoints do not match the simplex level")
-        k = self.k
-        m = xi.domain_top
-        verts = tuple(x.vertices[xi.values[p]] for p in range(m + 1))
-        cells = []
-        for (p, q) in intervals(m):
-            a, c = xi.values[p], xi.values[q]
-            if a < c:
-                cells.append(x.cell_at(a, c))
-            else:
-                cells.append(k.identity_of(x.vertices[a]))
-        return BicatNerveSimplex(m, verts, tuple(cells))
-
-
-def monoidal_nerve_level(b: PosetalMonoidalBicat, n: int) -> tuple[MonoidalNerveSimplex, ...]:
-    return MonoidalNerve(b, top_level=max(n, 4)).level(n)
-
-
-def bicat_nerve_level(k: PosetalBicat, n: int) -> tuple[BicatNerveSimplex, ...]:
-    return BicatNerve(k, top_level=max(n, 4)).level(n)
+        m, identity_of = xi.domain_top, self.k.identity_of
+        verts = tuple(x.vertices[v] for v in xi.values)
+        cells = tuple(
+            x.cells[k] if k >= 0 else identity_of(verts[p])
+            for (p, _), k in zip(intervals(m), _restriction(xi)[0])
+        )
+        return BicatNerveSimplex(m, verts, cells)

@@ -47,12 +47,6 @@ class MonoidalPoset:
     tensor: Mapping[tuple[str, str], str]
     unit: str
 
-    def leq_holds(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
-
-    def tensor_of(self, a: str, b: str) -> str:
-        return self.tensor[(a, b)]
-
     def is_commutative(self) -> bool:
         return all(
             self.tensor[(a, b)] == self.tensor[(b, a)]

@@ -14,14 +14,12 @@ from typing import Any, Iterator, Sequence
 
 from . import delta
 from .delta import MonotoneMap
-from .errors import LevelOutOfRangeError, NotCoskeletalError
+from .errors import LevelOutOfRangeError
 
 Code = Any
 
 __all__ = [
     "TruncatedSimplicialSet",
-    "PointSimplicialSet",
-    "TableSimplicialSet",
     "Boundary",
     "IdentityReport",
     "IdentityViolation",
@@ -199,65 +197,6 @@ class TruncatedSimplicialSet:
         return IdentityReport(checked, tuple(violations))
 
 
-class PointSimplicialSet(TruncatedSimplicialSet):
-    """One simplex per level: the terminal truncated simplicial set."""
-
-    def _enumerate(self, n: int) -> Sequence[Code]:
-        return ("pt",)
-
-    def act(self, xi: MonotoneMap, x: Code) -> Code:
-        return "pt"
-
-
-class TableSimplicialSet(TruncatedSimplicialSet):
-    """A simplicial set given by explicit level lists and generator tables.
-
-    ``faces[(i, n, x)]`` and ``degeneracies[(i, n, x)]`` hold the generator
-    actions; general actions are assembled through the epi-mono
-    factorisation.  Tables are plain dicts so tests can corrupt single
-    entries for fault injection; levels and face tables are memoised on
-    first use, so corrupt them before that.
-    """
-
-    def __init__(self, levels: Sequence[Sequence[Code]], faces: dict, degeneracies: dict):
-        super().__init__(len(levels) - 1)
-        self.levels = [tuple(lv) for lv in levels]
-        self.faces = dict(faces)
-        self.degeneracies = dict(degeneracies)
-
-    @classmethod
-    def mirror(cls, source: TruncatedSimplicialSet, r: int) -> "TableSimplicialSet":
-        """Tabulate another simplicial set up to level r."""
-        levels = [list(source.level(n)) for n in range(r + 1)]
-        faces = {
-            (i, n, x): source.face(i, n, x)
-            for n in range(1, r + 1)
-            for x in levels[n]
-            for i in range(n + 1)
-        }
-        degeneracies = {
-            (i, n, x): source.degeneracy(i, n, x)
-            for n in range(r)
-            for x in levels[n]
-            for i in range(n + 1)
-        }
-        return cls(levels, faces, degeneracies)
-
-    def _enumerate(self, n: int) -> Sequence[Code]:
-        return self.levels[n]
-
-    def act(self, xi: MonotoneMap, x: Code) -> Code:
-        if xi.is_identity:
-            return x
-        degs, face_parts = delta.epi_mono_indices(xi)
-        # contravariant: the outermost generator acts first
-        for i, lvl in reversed(face_parts):
-            x = self.faces[(i, lvl, x)]
-        for i, lvl in reversed(degs):
-            x = self.degeneracies[(i, lvl, x)]
-        return x
-
-
 # -- reports ------------------------------------------------------------
 
 
@@ -431,19 +370,6 @@ class MapEnumeration:
     rejections: list[RejectionWitness]
 
 
-def _filler_spot_check(Y: TruncatedSimplicialSet, r: int) -> None:
-    if Y.top_level < r + 1:
-        raise LevelOutOfRangeError(
-            f"coskeletal spot check needs level {r + 1}, have {Y.top_level}"
-        )
-    report = coskeletal_filler_report(Y, r + 1)
-    if not report.ok:
-        b, k = report.violations[0]
-        raise NotCoskeletalError(
-            f"boundary at dimension {r + 1} has {k} fillers: {b.entries!r}"
-        )
-
-
 def naturality_failures(f: TruncatedMap) -> list[tuple[MonotoneMap, Code]]:
     """Every monotone map with endpoints <= r is replayed against f's table.
 
@@ -470,40 +396,31 @@ def enumerate_truncated_maps(
     X: TruncatedSimplicialSet,
     Y: TruncatedSimplicialSet,
     r: int,
-    *,
-    coskeletal_check: bool = False,
 ) -> MapEnumeration:
     """All simplicial maps between the r-truncations of X and Y.
 
     Candidate images are chosen only on non-degenerate simplices of X
     (naturality forces the degenerate ones), from ``Y.fillers`` of the
-    images of their faces; ``rejections`` holds the candidates a scanning
+    images of their faces, read through a ``TruncatedMap`` over the partial
+    assignment; ``rejections`` holds the candidates a scanning
     ``Y.fillers`` pruned.  Every completed assignment is then re-checked
-    against every monotone map with endpoints <= r.  With
-    ``coskeletal_check`` the target's boundaries one level above r are first
-    verified to have unique fillers, which is what makes the truncated maps
-    extend uniquely.
+    against every monotone map with endpoints <= r.
     """
     X._check_level(r)
     Y._check_level(r)
-    if coskeletal_check:
-        _filler_spot_check(Y, r)
 
     nd = [(n, x) for n in range(r + 1) for x in X.nondegenerate(n)]
-    images: dict = {}
+    partial = TruncatedMap(X, Y, r, {})
+    images = partial.images
     rejections: list[RejectionWitness] = []
     maps: list[TruncatedMap] = []
-
-    def image_of(n: int, x: Code) -> Code:
-        eta, y, m = X.ez_decompose(x, n)
-        return Y.act(eta, images[(m, y)])
 
     def rec(k: int) -> None:
         if k == len(nd):
             maps.append(TruncatedMap(X, Y, r, images))
             return
         n, x = nd[k]
-        required = tuple(image_of(n - 1, X.face(i, n, x)) for i in range(n + 1)) if n else ()
+        required = tuple(partial(n - 1, X.face(i, n, x)) for i in range(n + 1)) if n else ()
         pruned: list = []
         candidates = Y.fillers(n, required, pruned)
         rejections.extend(

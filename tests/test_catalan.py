@@ -16,7 +16,6 @@ from catalan_sset.catalan import (
     intervals,
     lax_from_bits,
     level_export,
-    matrix_is_degenerate,
     nondegenerate_count,
     nondegenerate_level,
     reference_counts,
@@ -87,15 +86,15 @@ def test_enumerate_level_matches_the_closure_law_oracle(n):
     "n", [*range(10), pytest.param(10, marks=pytest.mark.slow)]
 )
 def test_nondegenerate_level_matches_the_act_oracle(n):
-    assert nondegenerate_level(n) == tuple(
-        x for x in enumerate_level(n) if not matrix_is_degenerate(x)
-    )
+    assert nondegenerate_level(n) == CatalanSet(n).nondegenerate(n)
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_ballot_rule_on_tamari_ballot_agrees_with_the_act_oracle(n):
+    cs = CatalanSet(n)
     for x in enumerate_level(n):
-        assert _ballot_rule_degenerate(tamari.ballot(x)) == matrix_is_degenerate(x)
+        degenerate = n > 0 and cs.is_degenerate(x, n)
+        assert _ballot_rule_degenerate(tamari.ballot(x)) == degenerate
 
 
 def test_level_two_is_exactly_the_five_tables():

@@ -1,7 +1,7 @@
 import pytest
 
 from catalan_sset import delta
-from catalan_sset.catalan import act, enumerate_level, lax_from_bits, matrix_is_degenerate
+from catalan_sset.catalan import CatalanSet, act, lax_from_bits
 from catalan_sset.catalogue import catalogue, face_label, named, resolve_face, verify_catalogue
 
 
@@ -28,12 +28,10 @@ def test_every_recorded_face_recomputes_by_pullback():
 
 
 def test_entries_are_exactly_the_nondegenerate_simplices():
+    census = CatalanSet(4)
     for level in range(5):
         names = {ns.matrix for ns in catalogue() if ns.level == level}
-        nondeg = {
-            x for x in enumerate_level(level) if not matrix_is_degenerate(x)
-        }
-        assert names == nondeg
+        assert names == set(census.nondegenerate(level))
 
 
 def test_face_tuples_are_unique_identifiers():

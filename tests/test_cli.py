@@ -202,3 +202,26 @@ def test_bad_input_file_exits_two_without_traceback(tmp_path, text):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-theorem", "--input", "or2"],
+        ["verify-monads", "--input", "trivial"],
+        ["export", "--what", "catalan", "--n", "1"],
+    ],
+    ids=["verify-theorem", "verify-monads", "export"],
+)
+def test_output_to_a_directory_exits_two_without_traceback(tmp_path, argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "catalan_sset.cli", *argv, "--output", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

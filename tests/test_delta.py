@@ -91,8 +91,13 @@ def test_epi_mono_factorisation_recomposes_everywhere():
     for m in range(6):
         for n in range(6):
             for xi in delta.all_maps(m, n):
-                parts = delta.epi_mono_factor(xi)
-                assert delta.recompose(parts, m) == xi
+                degs, faces = delta.epi_mono_indices(xi)
+                parts = [delta.degeneracy(i, lvl) for i, lvl in degs]
+                parts += [delta.face(i, lvl) for i, lvl in faces]
+                composite = delta.identity(m)
+                for g in parts:
+                    composite = delta.compose(g, composite)
+                assert composite == xi
                 # surjections first, then injections
                 kinds = [p.domain_top - p.codomain_top for p in parts]
                 assert kinds == sorted(kinds, reverse=True)

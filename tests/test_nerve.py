@@ -3,13 +3,12 @@ import pytest
 from catalan_sset import delta, sset
 from catalan_sset.bicats import Cell, PosetalBicat, embed, suspend
 from catalan_sset.catalan import CatalanSet, enumerate_level, intervals
-from catalan_sset.inputs import load_suite
+from catalan_sset.inputs import load_suite, suite_names
 from catalan_sset.nerve import (
     BicatNerve,
+    BicatNerveSimplex,
     MonoidalNerve,
     MonoidalNerveSimplex,
-    bicat_nerve_level,
-    monoidal_nerve_level,
     triples,
 )
 from catalan_sset.posets import MonoidalPoset
@@ -151,11 +150,43 @@ def test_three_boundaries_fill_at_most_once_and_four_boundaries_exactly_once():
         assert report.ok
 
 
-def test_level_helpers(or2_bicat):
-    assert len(monoidal_nerve_level(or2_bicat, 2)) == 5
-    assert len(bicat_nerve_level(load_suite("trivial"), 3)) == 1
-
-
 def test_suspension_nerve_identities_hold_despite_nontrivial_cells():
     nv = MonoidalNerve(load_suite("sigma-or2"))
     assert nv.verify_simplicial_identities(4).ok
+
+
+def _bicat_act_by_intervals(nk, xi, x):
+    """The plain nerve's pullback worked out interval by interval: the oracle
+    for ``BicatNerve.act``."""
+    m = xi.domain_top
+    verts = tuple(x.vertices[xi.values[p]] for p in range(m + 1))
+    cells = []
+    for (p, q) in intervals(m):
+        a, c = xi.values[p], xi.values[q]
+        if a < c:
+            cells.append(x.cell_at(a, c))
+        else:
+            cells.append(nk.k.identity_of(x.vertices[a]))
+    return BicatNerveSimplex(m, verts, tuple(cells))
+
+
+def _plain_suite_nerves():
+    """The plain nerve of every 2-category input, and of every monoidal
+    poset input embedded."""
+    for name in suite_names():
+        source = load_suite(name)
+        yield name, BicatNerve(embed(source) if hasattr(source, "elements") else source)
+
+
+def test_bicat_nerve_act_equals_the_interval_loop():
+    for name, nk in _plain_suite_nerves():
+        pairs = 0
+        for n in range(5):
+            for m in range(5):
+                for xi in delta.all_maps(m, n):
+                    for x in nk.level(n):
+                        assert nk.act(xi, x) == _bicat_act_by_intervals(nk, xi, x), (
+                            name, str(xi), x,
+                        )
+                        pairs += 1
+        assert pairs > 0

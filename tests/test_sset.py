@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from catalan_sset import delta
 from catalan_sset.bicats import PosetalMonoidalBicat, embed
 from catalan_sset.catalan import CatalanSet, LaxMatrix, lax_from_bits
-from catalan_sset.errors import LevelOutOfRangeError, NotCoskeletalError
+from catalan_sset.errors import LevelOutOfRangeError
 from catalan_sset.inputs import load_suite, suite_names
 from catalan_sset.catalan import intervals
 from catalan_sset.nerve import (
@@ -18,8 +18,6 @@ from catalan_sset.nerve import (
 )
 from catalan_sset.sset import (
     Boundary,
-    PointSimplicialSet,
-    TableSimplicialSet,
     boundary_of,
     compatible_boundaries,
     coskeletal_filler_report,
@@ -27,6 +25,7 @@ from catalan_sset.sset import (
     fillers,
     is_compatible_boundary,
 )
+from fixtures_sset import PointSimplicialSet, TableSimplicialSet
 
 
 @pytest.fixture(scope="module")
@@ -226,25 +225,23 @@ def test_enumerator_matches_oracle_into_smaller_target():
     assert got == expected
 
 
-def test_coskeletal_spot_check_passes_on_catalan(c5):
-    enum = enumerate_truncated_maps(c5, c5, 4, coskeletal_check=True)
-    assert len(enum.maps) == 2
+def test_every_compatible_five_boundary_has_unique_filler(c5):
+    report = coskeletal_filler_report(c5, 5)
+    assert report.ok
+    assert report.boundary_count == 132
 
 
-def test_coskeletal_spot_check_needs_one_extra_level(c4):
-    with pytest.raises(LevelOutOfRangeError):
-        enumerate_truncated_maps(c4, c4, 4, coskeletal_check=True)
-
-
-def test_duplicate_filler_raises_not_coskeletal():
+def test_duplicate_filler_is_reported():
     base = CatalanSet(3)
     table = TableSimplicialSet.mirror(base, 3)
-    clone = ("twin", lax_from_bits(3, (1, 1, 1, 1, 1, 1)))
+    top = lax_from_bits(3, (1, 1, 1, 1, 1, 1))
+    clone = ("twin", top)
     table.levels[3] = table.levels[3] + (clone,)
     for i in range(4):
-        table.faces[(i, 3, clone)] = base.face(i, 3, clone[1])
-    with pytest.raises(NotCoskeletalError):
-        enumerate_truncated_maps(table, table, 2, coskeletal_check=True)
+        table.faces[(i, 3, clone)] = base.face(i, 3, top)
+    report = coskeletal_filler_report(table, 3)
+    assert report.boundary_count == 14
+    assert report.violations == ((boundary_of(base, top, 3), 2),)
 
 
 # -- memoised face tables ----------------------------------------------------------
