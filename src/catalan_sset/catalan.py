@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import sset
 from .delta import MonotoneMap
@@ -39,6 +39,7 @@ __all__ = [
     "interval_index",
     "lax_from_bits",
     "enumerate_level",
+    "level_count",
     "act",
     "catalan_number",
     "reference_counts",
@@ -110,15 +111,16 @@ def lax_from_bits(n: int, bits: Iterable[int]) -> LaxMatrix:
     return LaxMatrix(n, packed)
 
 
-def _ballot_level(n: int, nondegenerate: bool) -> tuple[LaxMatrix, ...]:
-    """Level n generated from ballot sequences, in canonical order.
+def _ballot_leaves(n: int, nondegenerate: bool) -> Iterator[int]:
+    """The packed bits of each simplex at level n, one at a time, unsorted.
 
     A simplex is fixed by r(i), the largest j with x(i, j) = 0: row i holds
     zeros on (i, i+1) ... (i, r(i)) and ones beyond, and r runs over the
     weakly increasing sequences with i <= r(i) <= n.  A simplex is
     degenerate iff some i < n has r(i) = r(i+1) >= i+1 while no p < i has
     r(p) = i; every extension of a prefix meeting that test meets it too,
-    so with ``nondegenerate`` the walk skips the whole subtree.
+    so with ``nondegenerate`` the walk skips the whole subtree.  The walk
+    holds one stack of O(n^2) prefixes and keeps no leaf.
     """
     if n < 0:
         raise LevelTooLargeError("level must be >= 0")
@@ -136,27 +138,35 @@ def _ballot_level(n: int, nondegenerate: bool) -> tuple[LaxMatrix, ...]:
         for j in range(i + 1, n + 1):
             row.append(row[-1] | 1 << (count - 1 - idx[(i, j)]))
         zero_masks.append(row)
-    leaves: list[int] = []
     # (i, r(i-1), zeros so far, bit v set when some p < i has r(p) = v)
     stack = [(0, 0, 0, 0)]
     while stack:
         i, prev, zeros, hit = stack.pop()
         if i > n:
-            leaves.append(full & ~zeros)
+            yield full & ~zeros
             continue
         masks = zero_masks[i]
         for r in range(max(i, prev), n + 1):
             if nondegenerate and r == prev >= i > 0 and not hit >> (i - 1) & 1:
                 continue
             stack.append((i + 1, r, zeros | masks[r - i], hit | 1 << r))
-    leaves.sort()
-    return tuple(LaxMatrix(n, bits) for bits in leaves)
+
+
+def _ballot_level(n: int, nondegenerate: bool) -> tuple[LaxMatrix, ...]:
+    """The leaves of the ballot walk as simplices, in canonical order."""
+    return tuple(LaxMatrix(n, bits) for bits in sorted(_ballot_leaves(n, nondegenerate)))
 
 
 @lru_cache(maxsize=None)
 def enumerate_level(n: int) -> tuple[LaxMatrix, ...]:
     """All simplices at a level, in lexicographic (canonical) order."""
     return _ballot_level(n, nondegenerate=False)
+
+
+def level_count(n: int) -> int:
+    """The number of simplices at a level: the ballot walk's leaves, counted
+    one at a time, so no level is built or cached."""
+    return sum(1 for _ in _ballot_leaves(n, nondegenerate=False))
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +218,9 @@ def nondegenerate_level(n: int) -> tuple[LaxMatrix, ...]:
 
 
 def nondegenerate_count(n: int) -> int:
-    return len(nondegenerate_level(n))
+    """The number of non-degenerate simplices at a level, counted like
+    ``level_count``."""
+    return sum(1 for _ in _ballot_leaves(n, nondegenerate=True))
 
 
 def level_export(n: int) -> dict:

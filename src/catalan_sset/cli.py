@@ -17,6 +17,7 @@ from .catalan import (
     DEFAULT_COUNT_BOUND,
     HARD_LEVEL_BOUND,
     enumerate_level,
+    level_count,
     level_export,
     nondegenerate_count,
     nondegenerate_level,
@@ -88,7 +89,7 @@ def _cmd_count(args, parser) -> int:
     rows = []
     all_ok = True
     for n in range(max_n + 1):
-        enumerated = len(enumerate_level(n))
+        enumerated = level_count(n)
         nondeg = nondegenerate_count(n)
         paths = tamari.dyck_crosscheck(n)
         ok = enumerated == cat_ref[n] == paths and nondeg == motzkin_ref[n]
@@ -171,10 +172,12 @@ def _report_out(report, args) -> int:
         text = report.to_json_text()
     else:
         text = report.summary() + "\n"
-    sys.stdout.write(text)
+    # write --output first: a path that cannot be written exits 2 with
+    # stdout empty, not after printing the verdict
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(report.to_json_text())
+    sys.stdout.write(text)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from catalan_sset.catalan import (
     interval_index,
     intervals,
     lax_from_bits,
+    level_count,
     level_export,
     nondegenerate_count,
     nondegenerate_level,
@@ -34,6 +36,7 @@ I = lax_from_bits(2, (0, 0, 1))
 L = lax_from_bits(3, (1, 0, 0, 1, 1, 1))
 
 
+@lru_cache(maxsize=None)
 def _closure_level(n):
     """Oracle: fill the intervals in canonical order under the closure law."""
     if n < 0:
@@ -80,6 +83,12 @@ def _ballot_rule_degenerate(r):
 @pytest.mark.parametrize("n", range(11))
 def test_enumerate_level_matches_the_closure_law_oracle(n):
     assert enumerate_level(n) == _closure_level(n)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_counting_walk_matches_the_stored_levels(n):
+    assert level_count(n) == len(enumerate_level(n)) == len(_closure_level(n))
+    assert nondegenerate_count(n) == len(nondegenerate_level(n))
 
 
 @pytest.mark.parametrize(
@@ -229,6 +238,10 @@ def test_level_ceiling():
         nondegenerate_level(15)
     with pytest.raises(LevelTooLargeError):
         nondegenerate_level(-1)
+    with pytest.raises(LevelTooLargeError):
+        level_count(15)
+    with pytest.raises(LevelTooLargeError):
+        nondegenerate_count(-1)
     with pytest.raises(LevelTooLargeError):
         CatalanSet(15)
 

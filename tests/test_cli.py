@@ -1,15 +1,24 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from catalan_sset import cli
+from catalan_sset.catalan import enumerate_level, nondegenerate_level
 from catalan_sset.classify import ClassificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# the benchmark's pinned stdout digests; read here, never written
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text(encoding="utf-8")
+)
 
 
 def run(capsys, *argv):
@@ -33,6 +42,41 @@ def test_count_json(capsys):
     doc = json.loads(out)
     assert [row["simplices"] for row in doc] == [1, 2, 5, 14]
     assert all(row["match"] for row in doc)
+
+
+def test_count_builds_no_level_and_runs_in_constant_memory(capsys):
+    enumerate_level.cache_clear()
+    nondegenerate_level.cache_clear()
+    tracemalloc.start()
+    try:
+        code = cli.main(["count", "--max-n", "10"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count(" ok\n") == 11
+    assert enumerate_level.cache_info().currsize == 0
+    assert nondegenerate_level.cache_info().currsize == 0
+    assert peak < 1_000_000
+
+
+@pytest.mark.slow
+def test_count_reaches_the_enumeration_ceiling(capsys):
+    code, out, _ = run(capsys, "count", "--max-n", "14")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 15
+    assert all(row.endswith("  ok") for row in rows)
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_stdout_matches_the_pinned_digest(command):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(command.split())
+    assert code == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS[command]
 
 
 def test_count_rejects_bad_levels(capsys):
@@ -225,3 +269,4 @@ def test_output_to_a_directory_exits_two_without_traceback(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
