@@ -163,6 +163,12 @@ def enumerate_level(n: int) -> tuple[LaxMatrix, ...]:
     return _ballot_level(n, nondegenerate=False)
 
 
+@lru_cache(maxsize=None)
+def _level_positions(n: int) -> dict[int, int]:
+    """The position in ``enumerate_level(n)`` of each simplex, by its bits."""
+    return {x.bits: k for k, x in enumerate(enumerate_level(n))}
+
+
 def level_count(n: int) -> int:
     """The number of simplices at a level: the ballot walk's leaves, counted
     one at a time, so no level is built or cached."""
@@ -170,14 +176,29 @@ def level_count(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _act_table(xi: MonotoneMap) -> tuple[tuple[int, ...], int, int]:
+def _act_table(xi: MonotoneMap) -> tuple[tuple[int, int], ...]:
+    """One (shift, bit) pair per interval (p, q) of the domain that xi keeps
+    apart: the source bit of (xi(p), xi(q)) sits ``shift`` places up, and
+    ``bit`` is the place of (p, q) in the pulled-back simplex.  Collapsed
+    intervals get no pair, so they read 0."""
     m, n = xi.domain_top, xi.codomain_top
+    count_m, count_n = m * (m + 1) // 2, n * (n + 1) // 2
     idx_n = interval_index(n)
-    table = tuple(
-        idx_n[(xi.values[p], xi.values[q])] if xi.values[p] < xi.values[q] else -1
-        for (p, q) in intervals(m)
+    v = xi.values
+    return tuple(
+        (count_n - 1 - idx_n[(v[p], v[q])], 1 << (count_m - 1 - k))
+        for k, (p, q) in enumerate(intervals(m))
+        if v[p] < v[q]
     )
-    return table, m * (m + 1) // 2, n * (n + 1) // 2
+
+
+def _act_bits(table: tuple[tuple[int, int], ...], src: int) -> int:
+    """The packed bits of a pulled-back simplex, from the source's bits."""
+    bits = 0
+    for shift, bit in table:
+        if src >> shift & 1:
+            bits |= bit
+    return bits
 
 
 def act(xi: MonotoneMap, x: LaxMatrix) -> LaxMatrix:
@@ -186,13 +207,7 @@ def act(xi: MonotoneMap, x: LaxMatrix) -> LaxMatrix:
         raise DomainMismatchError(
             f"map into [{xi.codomain_top}] cannot act on a level-{x.n} simplex"
         )
-    table, count_m, count_n = _act_table(xi)
-    bits = 0
-    src = x.bits
-    for k, s in enumerate(table):
-        if s >= 0 and (src >> (count_n - 1 - s)) & 1:
-            bits |= 1 << (count_m - 1 - k)
-    return LaxMatrix(xi.domain_top, bits)
+    return LaxMatrix(xi.domain_top, _act_bits(_act_table(xi), x.bits))
 
 
 def catalan_number(m: int) -> int:
@@ -251,3 +266,12 @@ class CatalanSet(sset.TruncatedSimplicialSet):
         self._check_level(xi.codomain_top)
         self._check_level(xi.domain_top)
         return act(xi, x)
+
+    def _act_positions(self, xi: MonotoneMap) -> tuple[int, ...]:
+        """Positions looked up by the pulled-back bits: no ``LaxMatrix`` is built."""
+        self._check_level(xi.domain_top)
+        table = _act_table(xi)
+        position = _level_positions(xi.domain_top)
+        return tuple(
+            position[_act_bits(table, x.bits)] for x in self.level(xi.codomain_top)
+        )

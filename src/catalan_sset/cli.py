@@ -1,7 +1,8 @@
 """Command-line interface: counting, enumeration, catalogue, verification, export.
 
 Exit status: 0 when every check passes, 1 when a mathematical verdict
-fails, 2 on usage or input errors.
+fails, 2 on usage or input errors.  Each command imports the layers it
+runs, so ``count`` loads no nerve and a verdict loads no other presentation.
 """
 
 from __future__ import annotations
@@ -10,24 +11,8 @@ import argparse
 import json
 import sys
 
-from . import tamari
-from .bicats import PosetalMonoidalBicat, embed
-from .catalan import (
-    CatalanSet,
-    DEFAULT_COUNT_BOUND,
-    HARD_LEVEL_BOUND,
-    enumerate_level,
-    level_count,
-    level_export,
-    nondegenerate_count,
-    nondegenerate_level,
-    reference_counts,
-)
-from .catalogue import catalogue, verify_catalogue
-from .classify import verify_monad_remark, verify_theorem
+from .catalan import DEFAULT_COUNT_BOUND, HARD_LEVEL_BOUND
 from .errors import CatalanSetError
-from .inputs import resolve_input
-from .nerve import BicatNerve, MonoidalNerve
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -84,6 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_count(args, parser) -> int:
+    from . import tamari
+    from .catalan import level_count, nondegenerate_count, reference_counts
+
     max_n = _level_arg(parser, args.max_n)
     cat_ref, motzkin_ref = reference_counts(max_n)
     rows = []
@@ -121,6 +109,8 @@ def _cmd_count(args, parser) -> int:
 
 
 def _cmd_enumerate(args, parser) -> int:
+    from .catalan import enumerate_level, nondegenerate_level
+
     n = _level_arg(parser, args.n)
     sims = enumerate_level(n)
     nd = set(nondegenerate_level(n))
@@ -133,6 +123,8 @@ def _cmd_enumerate(args, parser) -> int:
 
 
 def _cmd_catalogue(args, parser) -> int:
+    from .catalogue import catalogue, verify_catalogue
+
     for ns in catalogue():
         faces = ", ".join(ns.face_labels) if ns.faces else "-"
         word = "".join(map(str, ns.matrix.bit_tuple())) or "-"
@@ -144,10 +136,17 @@ def _cmd_catalogue(args, parser) -> int:
 
 def _embedded(obj):
     """A monoidal poset embedded as a monoidal 2-category; other inputs as given."""
+    from .bicats import embed
+
     return embed(obj) if hasattr(obj, "elements") else obj
 
 
 def _cmd_verify_identities(args, parser) -> int:
+    from .bicats import PosetalMonoidalBicat
+    from .catalan import CatalanSet
+    from .inputs import resolve_input
+    from .nerve import BicatNerve, MonoidalNerve
+
     if args.input:
         max_n = _level_arg(parser, args.max_n if args.max_n is not None else "4")
         source = resolve_input(args.input)
@@ -182,6 +181,10 @@ def _report_out(report, args) -> int:
 
 
 def _cmd_verify_theorem(args, parser) -> int:
+    from .bicats import PosetalMonoidalBicat
+    from .classify import verify_theorem
+    from .inputs import resolve_input
+
     obj = _embedded(resolve_input(args.input))
     if not isinstance(obj, PosetalMonoidalBicat):
         parser.error("verify-theorem needs a monoidal input")
@@ -190,12 +193,17 @@ def _cmd_verify_theorem(args, parser) -> int:
 
 
 def _cmd_verify_monads(args, parser) -> int:
+    from .classify import verify_monad_remark
+    from .inputs import resolve_input
+
     obj = _embedded(resolve_input(args.input))
     report = verify_monad_remark(obj, input_name=args.input)
     return _report_out(report, args)
 
 
 def _cmd_order_probe(args, parser) -> int:
+    from . import tamari
+
     n = _level_arg(parser, args.n, ceiling=HARD_LEVEL_BOUND - 1)
     report = tamari.order_probe(n)
     print(report.summary())
@@ -203,6 +211,8 @@ def _cmd_order_probe(args, parser) -> int:
 
 
 def _cmd_export(args, parser) -> int:
+    from .catalan import level_export
+
     n = _level_arg(parser, args.n)
     doc = level_export(n)
     text = json.dumps(doc, sort_keys=True) + "\n"

@@ -17,7 +17,8 @@ Both nerves pull back along a monotone map through one cached restriction
 plan, ``_restriction``: the stored data is restricted, collapsed intervals
 receive the unit object (monoidal) or the identity cell on their first
 vertex (plain), and collapsed triples receive identity cells, which is
-exactly what strictness makes of the general degeneracy formulas.
+exactly what strictness makes of the general degeneracy formulas.  ``act``
+reads the plan as two ``itemgetter`` gathers per map, cached beside it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 
 from . import delta
 from .bicats import (
@@ -77,6 +79,39 @@ def _restriction(xi: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
         for (p, q, r) in triples(m)
     )
     return objs, cells
+
+
+def _gather(positions: tuple[int, ...]):
+    """A function taking a tuple t to ``tuple(t[k] for k in positions)`` in
+    one ``itemgetter`` call; ``itemgetter`` returns a bare item for one
+    position and needs at least one, so those two cases are wrapped."""
+    if len(positions) == 1:
+        (k,) = positions
+        return lambda t: (t[k],)
+    return itemgetter(*positions) if positions else lambda t: ()
+
+
+@lru_cache(maxsize=None)
+def _monoidal_plan(xi: MonotoneMap):
+    """``_restriction`` as gathers for ``MonoidalNerve.act``: objects from
+    ``x.objects + (unit,)``, cells from ``x.cells`` followed by the identities
+    of the pulled-back objects."""
+    obj_src, cell_src = _restriction(xi)
+    width = len(triples(xi.codomain_top))
+    return _gather(obj_src), _gather(tuple(k if k >= 0 else width + ~k for k in cell_src))
+
+
+@lru_cache(maxsize=None)
+def _bicat_plan(xi: MonotoneMap):
+    """``_restriction`` as gathers for ``BicatNerve.act``: vertices from
+    ``x.vertices``, cells from ``x.cells`` followed by the identities of the
+    pulled-back vertices, a collapsed interval (p, q) reading vertex p's."""
+    width = len(intervals(xi.codomain_top))
+    cells = tuple(
+        k if k >= 0 else width + p
+        for (p, _), k in zip(intervals(xi.domain_top), _restriction(xi)[0])
+    )
+    return _gather(xi.values), _gather(cells)
 
 
 def _merge(slots: list, sources, values) -> bool:
@@ -243,10 +278,9 @@ class MonoidalNerve(TruncatedSimplicialSet):
     def act(self, xi: MonotoneMap, x: MonoidalNerveSimplex) -> MonoidalNerveSimplex:
         if xi.codomain_top != x.n:
             raise DomainMismatchError("map endpoints do not match the simplex level")
-        obj_src, cell_src = _restriction(xi)
-        unit, identity_of = self.b.unit_object, self.b.identity_of
-        objs = tuple(x.objects[k] if k >= 0 else unit for k in obj_src)
-        cells = tuple(x.cells[k] if k >= 0 else identity_of(objs[~k]) for k in cell_src)
+        objs_of, cells_of = _monoidal_plan(xi)
+        objs = objs_of(x.objects + (self.b.unit_object,))
+        cells = cells_of(x.cells + tuple(map(self.b.identities.__getitem__, objs)))
         return MonoidalNerveSimplex(xi.domain_top, objs, cells)
 
 
@@ -328,10 +362,7 @@ class BicatNerve(TruncatedSimplicialSet):
     def act(self, xi: MonotoneMap, x: BicatNerveSimplex) -> BicatNerveSimplex:
         if xi.codomain_top != x.n:
             raise DomainMismatchError("map endpoints do not match the simplex level")
-        m, identity_of = xi.domain_top, self.k.identity_of
-        verts = tuple(x.vertices[v] for v in xi.values)
-        cells = tuple(
-            x.cells[k] if k >= 0 else identity_of(verts[p])
-            for (p, _), k in zip(intervals(m), _restriction(xi)[0])
-        )
-        return BicatNerveSimplex(m, verts, cells)
+        verts_of, cells_of = _bicat_plan(xi)
+        verts = verts_of(x.vertices)
+        cells = cells_of(x.cells + tuple(map(self.k.identities.__getitem__, verts)))
+        return BicatNerveSimplex(xi.domain_top, verts, cells)

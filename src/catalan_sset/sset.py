@@ -1,15 +1,17 @@
 """Truncated simplicial sets and the generic machinery over them.
 
 A concrete simplicial set implements ``_enumerate`` and ``act``; the
-memoised levels and face tables, faces, degeneracies, the degeneracy
-test, the surjection/non-degenerate decomposition, boundary and filler
-search, the simplicial-identity harness and the enumeration of truncated
-simplicial maps are all derived here and work against any implementation.
+memoised levels, face tables and act indices, faces, degeneracies, the
+degeneracy test, the surjection/non-degenerate decomposition, boundary and
+filler search, the simplicial-identity harness and the enumeration of
+truncated simplicial maps are all derived here and work against any
+implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterator, Sequence
 
 from . import delta
@@ -45,7 +47,7 @@ class TruncatedSimplicialSet:
         self.top_level = top_level
         self._levels: dict[int, Sequence[Code]] = {}
         self._face_tables: dict[int, tuple[tuple[Code, ...], ...]] = {}
-        self._act_tables: dict[MonotoneMap, tuple[Code, ...]] = {}
+        self._act_indices: dict[MonotoneMap, tuple[int, ...]] = {}
 
     # -- interface -----------------------------------------------------
 
@@ -77,14 +79,16 @@ class TruncatedSimplicialSet:
             self._face_tables[n] = tuple(rows)
         return self._face_tables[n]
 
-    def act_table(self, xi: MonotoneMap) -> tuple[Code, ...]:
-        """``act(xi, x)`` for every x of ``level(xi.codomain_top)``, in level
-        order, computed once per map."""
-        if xi not in self._act_tables:
-            self._act_tables[xi] = tuple(
-                self.act(xi, x) for x in self.level(xi.codomain_top)
-            )
-        return self._act_tables[xi]
+    def act_index(self, xi: MonotoneMap) -> tuple[int, ...]:
+        """Entry k is the position in ``level(xi.domain_top)`` of ``act(xi, x)``
+        for x = ``level(xi.codomain_top)[k]``, computed once per map."""
+        if xi not in self._act_indices:
+            self._act_indices[xi] = self._act_positions(xi)
+        return self._act_indices[xi]
+
+    def _act_positions(self, xi: MonotoneMap) -> tuple[int, ...]:
+        position = {y: k for k, y in enumerate(self.level(xi.domain_top))}
+        return tuple(position[self.act(xi, x)] for x in self.level(xi.codomain_top))
 
     def fillers(self, n: int, entries: tuple, pruned: list | None = None) -> list[Code]:
         """The simplices of ``level(n)`` whose faces d_0..d_n are ``entries``.
@@ -370,25 +374,39 @@ class MapEnumeration:
     rejections: list[RejectionWitness]
 
 
-def naturality_failures(f: TruncatedMap) -> list[tuple[MonotoneMap, Code]]:
-    """Every monotone map with endpoints <= r is replayed against f's table.
+@lru_cache(maxsize=None)
+def _maps(m: int, n: int) -> tuple[MonotoneMap, ...]:
+    """``delta.all_maps(m, n)``, built and validated once per process."""
+    return tuple(delta.all_maps(m, n))
 
-    The source side is read from ``X.act_table``; the target side is computed
-    once per distinct image.
+
+def naturality_failures(f: TruncatedMap) -> list[tuple[MonotoneMap, Code]]:
+    """Every monotone map with endpoints <= r is replayed against f's table:
+    the pairs (xi, x) with f(act(xi, x)) != act(xi, f(x)), in order of n, m,
+    xi and x.
+
+    The images of each level are interned to ids.  The source side is read
+    as positions from ``X.act_index``; the target acts once per distinct
+    image and its result is interned into the ids of its level, -1 when it
+    is no image there, so each comparison is between two ints.
     """
     X, Y, r = f.source, f.target, f.r
-    table = f.full_table()
+    ids: list[dict[Code, int]] = []  # image -> id, per level
+    image_ids: list[list[int]] = []  # the id of f(x), per level and position
+    for n in range(r + 1):
+        ids_n: dict[Code, int] = {}
+        image_ids.append([ids_n.setdefault(f(n, x), len(ids_n)) for x in X.level(n)])
+        ids.append(ids_n)
     bad = []
     for n in range(r + 1):
-        xs = X.level(n)
-        images = [table[(n, x)] for x in xs]
-        distinct = set(images)
+        xs, source_ids, distinct = X.level(n), image_ids[n], tuple(ids[n])
         for m in range(r + 1):
-            for xi in delta.all_maps(m, n):
-                moved = {y: Y.act(xi, y) for y in distinct}
-                for x, y, x_moved in zip(xs, images, X.act_table(xi)):
-                    if moved[y] != table[(m, x_moved)]:
-                        bad.append((xi, x))
+            ids_m, target_ids = ids[m], image_ids[m]
+            for xi in _maps(m, n):
+                moved = [ids_m.get(Y.act(xi, y), -1) for y in distinct]
+                for k, j in enumerate(X.act_index(xi)):
+                    if moved[source_ids[k]] != target_ids[j]:
+                        bad.append((xi, xs[k]))
     return bad
 
 

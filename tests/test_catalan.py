@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, strategies as st
 
-from catalan_sset import catalan, delta, tamari
+from catalan_sset import catalan, delta, sset, tamari
 from catalan_sset.catalan import (
     HARD_LEVEL_BOUND,
     CatalanSet,
@@ -169,6 +169,46 @@ def test_act_identity_fixes_everything():
 def test_act_endpoint_mismatch():
     with pytest.raises(DomainMismatchError):
         act(delta.face(0, 2), C)
+
+
+def _act_by_intervals(xi, x):
+    """The pullback tested one source bit per interval of the domain: the
+    oracle for the (shift, bit) pairs of ``act``."""
+    m, n = xi.domain_top, xi.codomain_top
+    count_m, count_n = m * (m + 1) // 2, n * (n + 1) // 2
+    idx_n = interval_index(n)
+    bits = 0
+    for k, (p, q) in enumerate(intervals(m)):
+        a, b = xi.values[p], xi.values[q]
+        if a < b and (x.bits >> (count_n - 1 - idx_n[(a, b)])) & 1:
+            bits |= 1 << (count_m - 1 - k)
+    return LaxMatrix(m, bits)
+
+
+def test_act_equals_the_interval_loop_on_every_model_square():
+    checked = 0
+    for n in range(6):
+        level = enumerate_level(n)
+        for m in range(6):
+            for xi in delta.all_maps(m, n):
+                for x in level:
+                    assert act(xi, x) == _act_by_intervals(xi, x), (str(xi), x)
+                    checked += 1
+    assert checked == 144_599
+
+
+def test_act_index_is_the_position_of_each_action():
+    cs = CatalanSet(5)
+    for n in range(6):
+        for m in range(6):
+            # levels hold no repeats, so this is ``cs.level(m).index``
+            position = {y: k for k, y in enumerate(cs.level(m))}
+            for xi in delta.all_maps(m, n):
+                index = cs.act_index(xi)
+                assert index == tuple(position[act(xi, x)] for x in cs.level(n)), str(xi)
+                # the override agrees with the base class's act-and-look-up
+                assert index == sset.TruncatedSimplicialSet._act_positions(cs, xi)
+                assert cs.act_index(xi) is index
 
 
 @given(st.data())

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from catalan_sset import cli
+from catalan_sset import classify, cli
 from catalan_sset.catalan import enumerate_level, nondegenerate_level
 from catalan_sset.classify import ClassificationReport
 
@@ -216,7 +216,8 @@ def test_failing_verdict_exits_one(capsys, monkeypatch):
         verdict="FAIL",
         failures=("injected",),
     )
-    monkeypatch.setattr(cli, "verify_theorem", lambda b, input_name: fake)
+    # the CLI looks the verdict up in ``classify`` when the command runs
+    monkeypatch.setattr(classify, "verify_theorem", lambda b, input_name: fake)
     code, out, _ = run(capsys, "verify-theorem", "--input", "or2")
     assert code == 1
     assert "verdict=FAIL" in out

@@ -1,6 +1,7 @@
 import pytest
 
 from catalan_sset import delta, sset
+from catalan_sset.bicats import PosetalMonoidalBicat
 from catalan_sset.bicats import Cell, PosetalBicat, embed, suspend
 from catalan_sset.catalan import CatalanSet, enumerate_level, intervals
 from catalan_sset.inputs import load_suite, suite_names
@@ -9,6 +10,7 @@ from catalan_sset.nerve import (
     BicatNerveSimplex,
     MonoidalNerve,
     MonoidalNerveSimplex,
+    _restriction,
     triples,
 )
 from catalan_sset.posets import MonoidalPoset
@@ -190,3 +192,56 @@ def test_bicat_nerve_act_equals_the_interval_loop():
                         )
                         pairs += 1
         assert pairs > 0
+
+
+def _monoidal_act_by_restriction(nv, xi, x):
+    """The monoidal nerve's pullback read slot by slot from the restriction
+    plan: the oracle for the gathers of ``MonoidalNerve.act``."""
+    obj_src, cell_src = _restriction(xi)
+    unit, identity_of = nv.b.unit_object, nv.b.identity_of
+    objs = tuple(x.objects[k] if k >= 0 else unit for k in obj_src)
+    cells = tuple(x.cells[k] if k >= 0 else identity_of(objs[~k]) for k in cell_src)
+    return MonoidalNerveSimplex(xi.domain_top, objs, cells)
+
+
+def _monoidal_suite_nerves():
+    """The monoidal nerve of every monoidal input, posets embedded."""
+    for name in suite_names():
+        source = load_suite(name)
+        if hasattr(source, "elements"):
+            yield name, MonoidalNerve(embed(source))
+        elif isinstance(source, PosetalMonoidalBicat):
+            yield name, MonoidalNerve(source)
+
+
+def test_monoidal_nerve_act_equals_the_restriction_oracle():
+    for name, nv in _monoidal_suite_nerves():
+        pairs = 0
+        for n in range(4):
+            for m in range(4):
+                for xi in delta.all_maps(m, n):
+                    for x in nv.level(n):
+                        assert nv.act(xi, x) == _monoidal_act_by_restriction(nv, xi, x), (
+                            name, str(xi), x,
+                        )
+                        pairs += 1
+        assert pairs > 0
+
+
+def test_nerve_act_equals_the_oracles_on_the_level_four_images_of_every_map():
+    """Level 4 is too large to act on whole; the images of the maps found
+    out of the Catalan set are the simplices a verdict acts on there."""
+    spaces = [
+        (nv, _monoidal_act_by_restriction) for _, nv in _monoidal_suite_nerves()
+    ] + [(nk, _bicat_act_by_intervals) for _, nk in _plain_suite_nerves()]
+    maps_to_four = [xi for m in range(5) for xi in delta.all_maps(m, 4)]
+    checked = 0
+    for nerve, oracle in spaces:
+        found = sset.enumerate_truncated_maps(CatalanSet(4), nerve, 4).maps
+        assert found
+        for f in found:
+            for x in {f(4, c) for c in enumerate_level(4)}:
+                for xi in maps_to_four:
+                    assert nerve.act(xi, x) == oracle(nerve, xi, x), (str(xi), x)
+                    checked += 1
+    assert checked > 0

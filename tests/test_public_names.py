@@ -1,4 +1,5 @@
-"""Every name the benchmark's job script takes from the package still exists.
+"""Every name the benchmark's job script takes from the package still exists,
+and the package's lazily resolved names are the ones it always exported.
 
 ``bench/job.py`` lies outside the default test paths, so a deletion in the
 package that breaks it would otherwise pass the suite.  The script is read
@@ -8,12 +9,18 @@ with ``ast`` and never run or imported here.
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import catalan_sset
 
 JOB = Path(__file__).resolve().parents[1] / "bench" / "job.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _resolve(module: str, name: str):
@@ -82,13 +89,88 @@ def test_every_keyword_the_job_passes_is_accepted():
     assert checked > 0
 
 
+# the names the package re-exported eagerly before it resolved them lazily,
+# by defining module
+REEXPORTS = {
+    "catalan": (
+        "CatalanSet", "DEFAULT_CHECK_BOUND", "DEFAULT_COUNT_BOUND", "HARD_LEVEL_BOUND",
+        "LaxMatrix", "MOTZKIN", "act", "catalan_number", "enumerate_level",
+        "lax_from_bits", "level_export", "nondegenerate_count", "nondegenerate_level",
+        "reference_counts",
+    ),
+    "catalogue": ("NamedSimplex", "catalogue", "named", "verify_catalogue"),
+    "classify": (
+        "ClassificationReport", "MonadStructure", "SkewMonoidale",
+        "direct_classification", "maps_from_catalan", "monads", "skew_monoidales",
+        "verify_monad_remark", "verify_theorem",
+    ),
+    "delta": ("MonotoneMap", "all_maps", "compose", "degeneracy", "face", "identity"),
+    "bicats": ("PosetalBicat", "PosetalMonoidalBicat", "embed", "suspend"),
+    "inputs": ("load_path", "load_suite", "resolve_input", "suite_names"),
+    "models": (
+        "IdealRelation", "InterpolativeRelation", "adjoint_ideals", "compose_ideals",
+        "enumerate_square_ideals", "ideal_leq", "ideal_pullback", "ideal_to_lax",
+        "identity_ideal", "lax_to_ideal", "lax_to_relation", "relation_pullback",
+        "relation_to_lax",
+    ),
+    "nerve": ("BicatNerve", "MonoidalNerve"),
+    "posets": ("MonoidalPoset", "validate_monoidal_poset"),
+    "sset": (
+        "Boundary", "TruncatedSimplicialSet", "boundary_of", "compatible_boundaries",
+        "coskeletal_filler_report", "enumerate_truncated_maps", "fillers",
+        "is_compatible_boundary",
+    ),
+    "tamari": ("dyck_crosscheck", "matrix_to_word", "order_probe"),
+}
+
+
 def test_every_declared_name_exists():
     for info in pkgutil.iter_modules(catalan_sset.__path__):
         mod = importlib.import_module(f"catalan_sset.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"catalan_sset.{info.name}.{name}"
-    init = Path(catalan_sset.__file__).read_text(encoding="utf-8")
-    for node in ast.walk(ast.parse(init)):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                assert hasattr(catalan_sset, alias.asname or alias.name), alias.name
+
+
+def test_every_package_name_is_its_defining_modules_attribute():
+    defined_in = {name: module for module, names in REEXPORTS.items() for name in names}
+    assert len(defined_in) == 69
+    assert sorted(catalan_sset.__all__) == sorted(defined_in)
+    for name, module in defined_in.items():
+        home = importlib.import_module(f"catalan_sset.{module}")
+        assert getattr(catalan_sset, name) is getattr(home, name), name
+    namespace = {}
+    exec("from catalan_sset import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(defined_in)
+    with pytest.raises(AttributeError):
+        catalan_sset.no_such_name
+
+
+def _modules_after(argv: list[str]) -> set[str]:
+    """The package modules a fresh interpreter holds after one CLI run."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from catalan_sset import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "assert code == 0, code\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('catalan_sset.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_each_verb_loads_only_the_layers_it_runs():
+    counted = _modules_after(["count", "--max-n", "2"])
+    assert "catalan_sset.tamari" in counted
+    assert not counted & {"catalan_sset.nerve", "catalan_sset.classify", "catalan_sset.models"}
+    verdict = _modules_after(["verify-theorem", "--input", "and2"])
+    assert {"catalan_sset.classify", "catalan_sset.nerve"} <= verdict
+    assert not verdict & {"catalan_sset.models", "catalan_sset.tamari"}

@@ -18,12 +18,14 @@ from catalan_sset.nerve import (
 )
 from catalan_sset.sset import (
     Boundary,
+    TruncatedMap,
     boundary_of,
     compatible_boundaries,
     coskeletal_filler_report,
     enumerate_truncated_maps,
     fillers,
     is_compatible_boundary,
+    naturality_failures,
 )
 from fixtures_sset import PointSimplicialSet, TableSimplicialSet
 
@@ -379,3 +381,88 @@ def test_map_search_into_a_nerve_records_only_scanned_levels():
         for w in enum.rejections:
             assert w.level <= scanned
             assert X.face(w.face_index, w.level, w.candidate) == w.found != w.required
+
+
+# -- the naturality replay ----------------------------------------------------------
+
+
+def _replay_by_table(f):
+    """The replay keyed by simplices: f's full table, the source acting on
+    every simplex, the target once per distinct image.  The oracle for
+    ``naturality_failures``."""
+    X, Y, r = f.source, f.target, f.r
+    table = f.full_table()
+    bad = []
+    for n in range(r + 1):
+        xs = X.level(n)
+        images = [table[(n, x)] for x in xs]
+        distinct = set(images)
+        for m in range(r + 1):
+            for xi in delta.all_maps(m, n):
+                moved = {y: Y.act(xi, y) for y in distinct}
+                for x, y in zip(xs, images):
+                    if moved[y] != table[(m, X.act(xi, x))]:
+                        bad.append((xi, x))
+    return bad
+
+
+@pytest.fixture(scope="module")
+def found_maps(c4):
+    """Every map out of the 4-truncated Catalan set into itself and into both
+    nerves of every suite input, with the name of its target."""
+    targets = [("catalan", c4)]
+    for name in suite_names():
+        source = load_suite(name)
+        if hasattr(source, "elements"):
+            source = embed(source)
+        if isinstance(source, PosetalMonoidalBicat):
+            targets.append((name, MonoidalNerve(source)))
+        targets.append((name, BicatNerve(source)))
+    return [
+        (name, f) for name, Y in targets for f in enumerate_truncated_maps(c4, Y, 4).maps
+    ]
+
+
+def test_replay_equals_the_table_oracle_on_every_found_map(found_maps):
+    assert len(found_maps) == 25
+    for name, f in found_maps:
+        assert naturality_failures(f) == _replay_by_table(f) == [], name
+
+
+def _other_simplices(Y, n):
+    """Simplices of Y at level n; at level 4 the degenerate ones, which Y
+    contains without enumerating the level."""
+    if n < 4:
+        return Y.level(n)
+    return (Y.degeneracy(i, 3, w) for w in Y.level(3) for i in range(4))
+
+
+def test_replay_equals_the_table_oracle_on_corrupted_maps(found_maps):
+    """One non-degenerate image per map, at levels 2, 3 and 4 in turn, is
+    swapped for a simplex of the target with other faces."""
+    corrupted = 0
+    for k, (name, f) in enumerate(found_maps):
+        X, Y, n = f.source, f.target, 2 + k % 3
+        x = X.nondegenerate(n)[-1]
+        faces = boundary_of(Y, f(n, x), n)
+        swap = next(
+            (y for y in _other_simplices(Y, n) if boundary_of(Y, y, n) != faces), None
+        )
+        if swap is None:  # every simplex at level n has the image's faces
+            continue
+        g = TruncatedMap(X, Y, f.r, {**f.images, (n, x): swap})
+        bad = naturality_failures(g)
+        assert bad, (name, n)
+        assert bad == _replay_by_table(g), (name, n)
+        corrupted += 1
+    assert corrupted >= 20
+
+
+def test_a_second_replay_reuses_the_monotone_maps(c4, monkeypatch):
+    f, g = enumerate_truncated_maps(c4, c4, 4).maps
+    naturality_failures(f)
+    built = []
+    all_maps = delta.all_maps
+    monkeypatch.setattr(delta, "all_maps", lambda m, n: built.append((m, n)) or all_maps(m, n))
+    assert naturality_failures(g) == []
+    assert built == []
