@@ -15,6 +15,9 @@ from .catalan import DEFAULT_COUNT_BOUND, HARD_LEVEL_BOUND
 from .errors import CatalanSetError
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
+# enumerate and export hold the whole level; level 12 peaks at about 98 MB
+# and each level above it is about four times larger
+HELD_LEVEL_BOUND = 12
 
 
 def _level_arg(parser: argparse.ArgumentParser, value: str, ceiling: int = HARD_LEVEL_BOUND) -> int:
@@ -111,7 +114,7 @@ def _cmd_count(args, parser) -> int:
 def _cmd_enumerate(args, parser) -> int:
     from .catalan import enumerate_level, nondegenerate_level
 
-    n = _level_arg(parser, args.n)
+    n = _level_arg(parser, args.n, ceiling=HELD_LEVEL_BOUND)
     sims = enumerate_level(n)
     nd = set(nondegenerate_level(n))
     print(f"n={n} count={len(sims)}")
@@ -213,7 +216,7 @@ def _cmd_order_probe(args, parser) -> int:
 def _cmd_export(args, parser) -> int:
     from .catalan import level_export
 
-    n = _level_arg(parser, args.n)
+    n = _level_arg(parser, args.n, ceiling=HELD_LEVEL_BOUND)
     doc = level_export(n)
     text = json.dumps(doc, sort_keys=True) + "\n"
     if args.output == "-":

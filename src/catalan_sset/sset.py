@@ -1,11 +1,11 @@
 """Truncated simplicial sets and the generic machinery over them.
 
 A concrete simplicial set implements ``_enumerate`` and ``act``; the
-memoised levels, face tables and act indices, faces, degeneracies, the
-degeneracy test, the surjection/non-degenerate decomposition, boundary and
-filler search, the simplicial-identity harness and the enumeration of
-truncated simplicial maps are all derived here and work against any
-implementation.
+memoised levels, face tables and act indices, faces, degeneracies, the one
+degeneracy rule (``degeneracy_index``, read by the degeneracy test and by
+truncated maps), boundary and filler search, the simplicial-identity
+harness and the enumeration of truncated simplicial maps are all derived
+here and work against any implementation.
 """
 
 from __future__ import annotations
@@ -121,30 +121,23 @@ class TruncatedSimplicialSet:
     def degeneracy(self, i: int, n: int, x: Code) -> Code:
         return self.act(delta.degeneracy(i, n), x)
 
+    def degeneracy_index(self, x: Code, n: int) -> int | None:
+        """The first i with x == s_i(d_i(x)), or None when x is non-degenerate."""
+        for i in range(n):
+            if self.degeneracy(i, n - 1, self.face(i, n, x)) == x:
+                return i
+        return None
+
     def is_degenerate(self, x: Code, n: int) -> bool:
         """Whether x == s_i(d_i(x)) for some i; level 0 is rejected."""
         self._check_level(n, low=1)
-        return any(
-            self.degeneracy(i, n - 1, self.face(i, n, x)) == x for i in range(n)
-        )
+        return self.degeneracy_index(x, n) is not None
 
     def nondegenerate(self, n: int) -> tuple[Code, ...]:
         self._check_level(n)
         if n == 0:
             return tuple(self.level(0))
         return tuple(x for x in self.level(n) if not self.is_degenerate(x, n))
-
-    def ez_decompose(self, x: Code, n: int) -> tuple[MonotoneMap, Code, int]:
-        """Return (eta, y, m) with x = act(eta, y), eta surjective, y non-degenerate."""
-        self._check_level(n)
-        if n == 0:
-            return delta.identity(0), x, 0
-        for i in range(n):
-            y1 = self.face(i, n, x)
-            if self.degeneracy(i, n - 1, y1) == x:
-                eta, y, m = self.ez_decompose(y1, n - 1)
-                return delta.compose(eta, delta.degeneracy(i, n - 1)), y, m
-        return delta.identity(n), x, n
 
     def verify_simplicial_identities(self, n_max: int) -> "IdentityReport":
         """Exhaustively check the face/degeneracy relations on levels <= n_max.
@@ -333,10 +326,11 @@ class TruncatedMap:
         self.images = dict(images)
 
     def __call__(self, n: int, x: Code) -> Code:
-        if (n, x) in self.images:
+        """The tabulated image, or f(s_i y) = s_i f(y) along x's degeneracy index."""
+        i = None if (n, x) in self.images else self.source.degeneracy_index(x, n)
+        if i is None:
             return self.images[(n, x)]
-        eta, y, m = self.source.ez_decompose(x, n)
-        return self.target.act(eta, self.images[(m, y)])
+        return self.target.degeneracy(i, n - 1, self(n - 1, self.source.face(i, n, x)))
 
     def full_table(self) -> dict:
         return {
@@ -344,12 +338,6 @@ class TruncatedMap:
             for n in range(self.r + 1)
             for x in self.source.level(n)
         }
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedMap) and self.images == other.images
-
-    def __hash__(self):
-        return hash(frozenset(self.images.items()))
 
     def __repr__(self):
         parts = ", ".join(

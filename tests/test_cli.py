@@ -27,6 +27,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_process(*argv, timeout=120):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "catalan_sset.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
+    )
+
+
 def test_count_table(capsys):
     code, out, _ = run(capsys, "count", "--max-n", "4")
     assert code == 0
@@ -236,14 +248,7 @@ def test_failing_verdict_exits_one(capsys, monkeypatch):
 def test_bad_input_file_exits_two_without_traceback(tmp_path, text):
     target = tmp_path / "bad.json"
     target.write_text(text, encoding="utf-8")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "catalan_sset.cli", "verify-theorem", "--input", str(target)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
+    proc = run_process("verify-theorem", "--input", str(target))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -259,15 +264,25 @@ def test_bad_input_file_exits_two_without_traceback(tmp_path, text):
     ids=["verify-theorem", "verify-monads", "export"],
 )
 def test_output_to_a_directory_exits_two_without_traceback(tmp_path, argv):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "catalan_sset.cli", *argv, "--output", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
+    proc = run_process(*argv, "--output", str(tmp_path))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "13"],
+        ["export", "--what", "catalan", "--n", "13", "--output", "-"],
+        ["enumerate", "--n", "14"],
+    ],
+    ids=["enumerate-13", "export-13", "enumerate-14"],
+)
+def test_levels_above_the_held_bound_exit_two_at_once(argv):
+    proc = run_process(*argv, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"level {argv[argv.index('--n') + 1]} outside 0..12" in proc.stderr
     assert proc.stdout == ""

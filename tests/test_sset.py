@@ -54,13 +54,38 @@ def test_degenerate_iff_in_image_of_degeneracies(c4):
             assert c4.is_degenerate(x, n) == (x in image)
 
 
+def _ez_decompose(X, x, n):
+    """(eta, y, m) with x = X.act(eta, y), eta surjective and y non-degenerate,
+    the surjection composed through ``delta.compose``: the oracle for how
+    ``TruncatedMap`` reads a degenerate simplex."""
+    if n == 0:
+        return delta.identity(0), x, 0
+    for i in range(n):
+        y1 = X.face(i, n, x)
+        if X.degeneracy(i, n - 1, y1) == x:
+            eta, y, m = _ez_decompose(X, y1, n - 1)
+            return delta.compose(eta, delta.degeneracy(i, n - 1)), y, m
+    return delta.identity(n), x, n
+
+
 def test_ez_decomposition_reconstructs(c4):
     for n in range(5):
         for x in c4.level(n):
-            eta, y, m = c4.ez_decompose(x, n)
+            eta, y, m = _ez_decompose(c4, x, n)
             assert eta.is_surjective
             assert m == 0 or not c4.is_degenerate(y, m)
             assert c4.act(eta, y) == x
+
+
+def test_degeneracy_index_is_the_first_degeneracy(face_table_spaces):
+    """CatalanSet(5) at levels 1-5, every suite nerve at levels 1-3."""
+    for name, X, top in face_table_spaces:
+        for n in range(1, (top if name == "catalan" else 3) + 1):
+            for x in X.level(n):
+                hits = [i for i in range(n) if X.degeneracy(i, n - 1, X.face(i, n, x)) == x]
+                i = X.degeneracy_index(x, n)
+                assert i == (hits[0] if hits else None), (name, n, x)
+                assert (i is None) == (not X.is_degenerate(x, n)), (name, n, x)
 
 
 # -- functoriality -----------------------------------------------------------
@@ -437,10 +462,12 @@ def _other_simplices(Y, n):
     return (Y.degeneracy(i, 3, w) for w in Y.level(3) for i in range(4))
 
 
-def test_replay_equals_the_table_oracle_on_corrupted_maps(found_maps):
-    """One non-degenerate image per map, at levels 2, 3 and 4 in turn, is
-    swapped for a simplex of the target with other faces."""
-    corrupted = 0
+@pytest.fixture(scope="module")
+def corrupted_maps(found_maps):
+    """One non-degenerate image per found map, at levels 2, 3 and 4 in turn,
+    swapped for a simplex of the target with other faces; a map is skipped
+    when every simplex at that level has the image's faces."""
+    corrupted = []
     for k, (name, f) in enumerate(found_maps):
         X, Y, n = f.source, f.target, 2 + k % 3
         x = X.nondegenerate(n)[-1]
@@ -448,14 +475,37 @@ def test_replay_equals_the_table_oracle_on_corrupted_maps(found_maps):
         swap = next(
             (y for y in _other_simplices(Y, n) if boundary_of(Y, y, n) != faces), None
         )
-        if swap is None:  # every simplex at level n has the image's faces
-            continue
-        g = TruncatedMap(X, Y, f.r, {**f.images, (n, x): swap})
+        if swap is not None:
+            corrupted.append((name, n, TruncatedMap(X, Y, f.r, {**f.images, (n, x): swap})))
+    return corrupted
+
+
+def test_replay_equals_the_table_oracle_on_corrupted_maps(corrupted_maps):
+    assert len(corrupted_maps) >= 20
+    for name, n, g in corrupted_maps:
         bad = naturality_failures(g)
         assert bad, (name, n)
         assert bad == _replay_by_table(g), (name, n)
-        corrupted += 1
-    assert corrupted >= 20
+
+
+def _assert_reads_through_the_decomposition(name, f):
+    """Every simplex at levels <= r: f(n, x) is the image of x's
+    non-degenerate root pulled back along the oracle's surjection."""
+    for n in range(f.r + 1):
+        for x in f.source.level(n):
+            eta, y, m = _ez_decompose(f.source, x, n)
+            assert f(n, x) == f.target.act(eta, f.images[(m, y)]), (name, n, x)
+
+
+def test_degenerate_images_equal_the_decomposition_oracle(c4, found_maps):
+    point = [("point", f) for f in enumerate_truncated_maps(c4, PointSimplicialSet(4), 4).maps]
+    for name, f in found_maps + point:
+        _assert_reads_through_the_decomposition(name, f)
+
+
+def test_degenerate_images_equal_the_decomposition_oracle_on_corrupted_maps(corrupted_maps):
+    for name, _, g in corrupted_maps:
+        _assert_reads_through_the_decomposition(name, g)
 
 
 def test_a_second_replay_reuses_the_monotone_maps(c4, monkeypatch):
