@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import delta
-from .catalan import CatalanSet, LaxMatrix, act, enumerate_level
+from .catalan import CatalanSet, LaxMatrix, act
 
 __all__ = [
     "FaceRef",
@@ -81,16 +81,13 @@ def _matrices() -> dict[str, LaxMatrix]:
     out: dict[str, LaxMatrix] = {}
     out["star"] = LaxMatrix(0, 0)
     out["c"] = LaxMatrix(1, 1)
+    cs = CatalanSet(max(level for level, _ in _BASE.values()))
     for name in _ORDER:
         level, faces = _BASE[name]
         if name in out:
             continue
         wanted = tuple(_resolve(ref, out) for ref in faces)
-        hits = [
-            x
-            for x in enumerate_level(level)
-            if tuple(act(delta.face(i, level), x) for i in range(level + 1)) == wanted
-        ]
+        hits = cs.fillers(level, wanted)
         if len(hits) != 1:
             raise AssertionError(
                 f"face tuple for {name} has {len(hits)} fillers; expected exactly one"

@@ -304,7 +304,7 @@ def verify_monad_remark(k: PosetalBicat, input_name: str = "input") -> Classific
     records = _map_records(BicatNerve(k))
     found = monads(k)
     failures: list[str] = []
-    pairs_of_maps = [(r["star"].vertices[0], r["c"].cells[0]) for r in records]
+    pairs_of_maps = [(r["star"].objects[0], r["c"].cells[0]) for r in records]
     monad_pairs = [(m.carrier, m.endo) for m in found]
     if len(set(pairs_of_maps)) != len(pairs_of_maps):
         failures.append("two distinct maps induce the same monad data")

@@ -18,6 +18,13 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 # enumerate and export hold the whole level; level 12 peaks at about 98 MB
 # and each level above it is about four times larger
 HELD_LEVEL_BOUND = 12
+# verify-identities checks every identity on every simplex up to its level:
+# a nerve stops at its default top level, 4 (chain3-min at level 5 ran past
+# 150 s and 361 MB); the Catalan set at 8 (about 6 s; level 9 takes 38 s)
+NERVE_IDENTITY_BOUND = 4
+CATALAN_IDENTITY_BOUND = 8
+# order-probe at level 6 takes about 7 s and 34 MB, at level 7 79 s and 147 MB
+ORDER_PROBE_BOUND = 6
 
 
 def _level_arg(parser: argparse.ArgumentParser, value: str, ceiling: int = HARD_LEVEL_BOUND) -> int:
@@ -151,7 +158,9 @@ def _cmd_verify_identities(args, parser) -> int:
     from .nerve import BicatNerve, MonoidalNerve
 
     if args.input:
-        max_n = _level_arg(parser, args.max_n if args.max_n is not None else "4")
+        max_n = _level_arg(
+            parser, args.max_n if args.max_n is not None else "4", ceiling=NERVE_IDENTITY_BOUND
+        )
         source = resolve_input(args.input)
         obj = _embedded(source)
         if isinstance(obj, PosetalMonoidalBicat):
@@ -161,7 +170,9 @@ def _cmd_verify_identities(args, parser) -> int:
             space = BicatNerve(obj, top_level=max_n)
             label = "nerve"
     else:
-        max_n = _level_arg(parser, args.max_n if args.max_n is not None else "5")
+        max_n = _level_arg(
+            parser, args.max_n if args.max_n is not None else "5", ceiling=CATALAN_IDENTITY_BOUND
+        )
         space = CatalanSet(top_level=max_n)
         label = "catalan set"
     report = space.verify_simplicial_identities(max_n)
@@ -207,7 +218,7 @@ def _cmd_verify_monads(args, parser) -> int:
 def _cmd_order_probe(args, parser) -> int:
     from . import tamari
 
-    n = _level_arg(parser, args.n, ceiling=HARD_LEVEL_BOUND - 1)
+    n = _level_arg(parser, args.n, ceiling=ORDER_PROBE_BOUND)
     report = tamari.order_probe(n)
     print(report.summary())
     return EXIT_OK if report.inclusion_ok else EXIT_FAIL

@@ -1,31 +1,35 @@
 """Nerves of validated posetal inputs, as truncated simplicial sets.
 
-The monoidal nerve of a posetal monoidal 2-category stores, per simplex, an
-object for every interval and a 1-cell for every triple i < j < k running
-from the tensor of the outer interval objects to the inner one; from level
-3 upward each quadruple must satisfy one hom-poset inequality, and nothing
-more is ever required because parallel 2-cells in a poset are equal.  The
-plain nerve of a posetal 2-category stores an object per vertex and a
-1-cell per interval with a triple inequality.
+Both nerves are one construction (Street, "The algebra of oriented
+simplexes", JPAA 49, 1987; Duskin, TAC 9, 2002) at two ranks.  A rank-r
+nerve stores, per simplex, an object on every r-subset of its vertices and
+a cell on every (r+1)-subset, in the hom that the objects on the subset's
+faces give, and requires one hom-poset inequality on every (r+2)-subset;
+nothing more is ever required because parallel 2-cells in a poset are
+equal.  The monoidal nerve of a posetal monoidal 2-category, read as a
+one-object tricategory, has rank 2: an object per interval and a cell per
+triple.  The plain nerve of a posetal 2-category has rank 1: an object per
+vertex and a cell per interval.
 
-From level 3 (monoidal) or level 2 (plain) every stored object and cell
-of a simplex lies in one of its faces, so a simplex is its boundary plus
-the inequalities: ``fillers`` assembles the one candidate from the faces
-and keeps it when ``contains`` accepts it, instead of scanning the level.
+From level r+1 every stored object and cell of a simplex lies in one of
+its faces, so a simplex is its boundary plus the inequalities: ``fillers``
+assembles the one candidate from the faces and keeps it when ``contains``
+accepts it, instead of scanning the level.
 
 Both nerves pull back along a monotone map through one cached restriction
-plan, ``_restriction``: the stored data is restricted, collapsed intervals
-receive the unit object (monoidal) or the identity cell on their first
-vertex (plain), and collapsed triples receive identity cells, which is
-exactly what strictness makes of the general degeneracy formulas.  ``act``
-reads the plan as two ``itemgetter`` gathers per map, cached beside it.
+plan, ``_restriction``: the stored data is restricted, a collapsed
+interval's object is the unit (vertices never collapse) and a collapsed
+cell is the identity on the pulled-back object of its subset without the
+second vertex, which is exactly what strictness makes of the general
+degeneracy formulas.  ``act`` reads the plan as two ``itemgetter``
+gathers per map and rank, cached beside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from operator import itemgetter
 
 from . import delta
@@ -52,33 +56,49 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
+def _subsets(n: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """The size-subsets of the vertices of [n] in storage order: intervals
+    by length, then left endpoint; every other size lexicographically."""
+    return intervals(n) if size == 2 else tuple(combinations(range(n + 1), size))
+
+
+@lru_cache(maxsize=None)
+def _positions(n: int, size: int) -> dict[tuple[int, ...], int]:
+    return {s: k for k, s in enumerate(_subsets(n, size))}
+
+
 def triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(combinations(range(n + 1), 3))
+    return _subsets(n, 3)
 
 
-@lru_cache(maxsize=None)
 def triple_index(n: int) -> dict[tuple[int, int, int], int]:
-    return {t: k for k, t in enumerate(triples(n))}
+    return _positions(n, 3)
+
+
+def _faces(s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """d_0 s, ..., d_last s: s without each of its vertices in turn."""
+    return tuple(s[:i] + s[i + 1:] for i in range(len(s)))
 
 
 @lru_cache(maxsize=None)
-def _restriction(xi: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Where each object and cell of a simplex pulled back along xi comes from.
+def _restriction(xi: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Where each vertex, interval and triple of a simplex pulled back along
+    xi comes from, as three parts in storage order.
 
-    An object is read at position k of the source simplex, or is the unit
-    when k is -1; a cell is read at position k, or when k < 0 it is the
-    identity on object ~k of the pulled-back simplex: a collapsed triple
-    gets the identity on its outer interval, the unit's when all collapse.
-    The plain nerve reads its interval cells from the object part.
+    An entry is k, the position of the image subset among the source
+    simplex's subsets of its size, or ~k when xi collapses the subset, k
+    being the position in the pulled-back simplex of the subset without its
+    second vertex.  A rank-r nerve reads its objects from part r-1 and its
+    cells from part r.
     """
     v, m = xi.values, xi.domain_top
     idx, tdx = interval_index(xi.codomain_top), triple_index(xi.codomain_top)
-    objs = tuple(idx[(v[p], v[q])] if v[p] < v[q] else -1 for (p, q) in intervals(m))
-    cells = tuple(
+    ints = tuple(idx[(v[p], v[q])] if v[p] < v[q] else ~p for (p, q) in intervals(m))
+    tris = tuple(
         tdx[(v[p], v[q], v[r])] if v[p] < v[q] < v[r] else ~interval_index(m)[(p, r)]
         for (p, q, r) in triples(m)
     )
-    return objs, cells
+    return v, ints, tris
 
 
 def _gather(positions: tuple[int, ...]):
@@ -92,26 +112,16 @@ def _gather(positions: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _monoidal_plan(xi: MonotoneMap):
-    """``_restriction`` as gathers for ``MonoidalNerve.act``: objects from
-    ``x.objects + (unit,)``, cells from ``x.cells`` followed by the identities
-    of the pulled-back objects."""
-    obj_src, cell_src = _restriction(xi)
-    width = len(triples(xi.codomain_top))
-    return _gather(obj_src), _gather(tuple(k if k >= 0 else width + ~k for k in cell_src))
-
-
-@lru_cache(maxsize=None)
-def _bicat_plan(xi: MonotoneMap):
-    """``_restriction`` as gathers for ``BicatNerve.act``: vertices from
-    ``x.vertices``, cells from ``x.cells`` followed by the identities of the
-    pulled-back vertices, a collapsed interval (p, q) reading vertex p's."""
-    width = len(intervals(xi.codomain_top))
-    cells = tuple(
-        k if k >= 0 else width + p
-        for (p, _), k in zip(intervals(xi.domain_top), _restriction(xi)[0])
-    )
-    return _gather(xi.values), _gather(cells)
+def _plan(xi: MonotoneMap, rank: int):
+    """``_restriction`` as the gathers of a rank-``rank`` nerve's ``act``:
+    objects from ``x.objects`` followed by the unit, cells from ``x.cells``
+    followed by the identities of the pulled-back objects."""
+    parts, n = _restriction(xi), xi.codomain_top
+    unit = len(_subsets(n, rank))
+    width = len(_subsets(n, rank + 1))
+    objs = tuple(k if k >= 0 else unit for k in parts[rank - 1])
+    cells = tuple(k if k >= 0 else width + ~k for k in parts[rank])
+    return _gather(objs), _gather(cells)
 
 
 def _merge(slots: list, sources, values) -> bool:
@@ -125,244 +135,187 @@ def _merge(slots: list, sources, values) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class MonoidalNerveSimplex:
-    """Objects per interval (canonical order) and cells per triple (lex order)."""
-
+class _NerveSimplex:
     n: int
     objects: tuple[str, ...]
     cells: tuple[str, ...]
 
     def __repr__(self) -> str:
-        return f"NrvM({self.n}|{','.join(self.objects)}|{','.join(self.cells)})"
+        return f"{self.tag}({self.n}|{','.join(self.objects)}|{','.join(self.cells)})"
 
 
-@dataclass(frozen=True, slots=True)
-class BicatNerveSimplex:
+class MonoidalNerveSimplex(_NerveSimplex):
+    """Objects per interval (canonical order) and cells per triple (lex order)."""
+
+    __slots__ = ()
+    tag = "NrvM"
+
+
+class BicatNerveSimplex(_NerveSimplex):
     """Objects per vertex and cells per interval (canonical order)."""
 
-    n: int
-    vertices: tuple[str, ...]
-    cells: tuple[str, ...]
-
-    def cell_at(self, i: int, j: int) -> str:
-        return self.cells[interval_index(self.n)[(i, j)]]
-
-    def __repr__(self) -> str:
-        return f"NrvK({self.n}|{','.join(self.vertices)}|{','.join(self.cells)})"
+    __slots__ = ()
+    tag = "NrvK"
 
 
-class MonoidalNerve(TruncatedSimplicialSet):
+class _PosetalNerve(TruncatedSimplicialSet):
+    """The rank-``rank`` nerve: a subclass gives the rank, the simplex
+    type, the hom of a cell and the inequality of an (rank+2)-subset.
+    ``units`` is what a collapsed object reads: the unit at rank 2, and
+    nothing at rank 1, where no object collapses."""
+
+    rank: int
+    simplex: type
+
+    def __init__(self, bicat: PosetalBicat, top_level: int, units: tuple[str, ...]):
+        super().__init__(top_level)
+        self._objects = bicat.objects
+        self._identities = bicat.identities
+        self._units = units
+
+    def _hom(self, objs, n: int, s: tuple[int, ...]) -> tuple[str, ...]:
+        """The cells the (rank+1)-subset s may carry, given the objects."""
+        raise NotImplementedError
+
+    def _holds(self, objs, cells, n: int, s: tuple[int, ...]) -> bool:
+        """The hom-poset inequality of the (rank+2)-subset s."""
+        raise NotImplementedError
+
+    def _enumerate(self, n: int) -> tuple[_NerveSimplex, ...]:
+        r = self.rank
+        obj_sets, cell_sets = _subsets(n, r), _subsets(n, r + 1)
+        opos, cpos = _positions(n, r), _positions(n, r + 1)
+        # a cell's hom is read once its last object is set, and kept while
+        # later objects vary; an inequality is checked once its last cell is set
+        cells_ready: list[list[int]] = [[] for _ in obj_sets]
+        for c, s in enumerate(cell_sets):
+            cells_ready[max(map(opos.__getitem__, _faces(s)))].append(c)
+        ineqs_ready: list[list] = [[] for _ in cell_sets]
+        for s in _subsets(n, r + 2):
+            ineqs_ready[max(map(cpos.__getitem__, _faces(s)))].append(s)
+
+        results: list[_NerveSimplex] = []
+        objs: list[str] = [""] * len(obj_sets)
+        cells: list[str] = [""] * len(cell_sets)
+        homs: list[tuple[str, ...]] = [()] * len(cell_sets)
+
+        def assign_cells(c_pos: int) -> None:
+            if c_pos == len(cells):
+                results.append(self.simplex(n, tuple(objs), tuple(cells)))
+                return
+            for cell in homs[c_pos]:
+                cells[c_pos] = cell
+                if all(self._holds(objs, cells, n, s) for s in ineqs_ready[c_pos]):
+                    assign_cells(c_pos + 1)
+
+        def assign_objects(o_pos: int) -> None:
+            if o_pos == len(objs):
+                assign_cells(0)
+                return
+            for obj in self._objects:
+                objs[o_pos] = obj
+                for c in cells_ready[o_pos]:
+                    homs[c] = self._hom(objs, n, cell_sets[c])
+                    if not homs[c]:
+                        break
+                else:
+                    assign_objects(o_pos + 1)
+
+        assign_objects(0)
+        return tuple(results)
+
+    def contains(self, x: _NerveSimplex) -> bool:
+        """Whether x is a simplex: known objects, every cell in its hom, and
+        every inequality."""
+        r, n = self.rank, x.n
+        objs, cells = x.objects, x.cells
+        if len(objs) != len(_subsets(n, r)) or len(cells) != len(_subsets(n, r + 1)):
+            return False
+        if not all(o in self._objects for o in objs):
+            return False
+        if not all(
+            cell in self._hom(objs, n, s) for s, cell in zip(_subsets(n, r + 1), cells)
+        ):
+            return False
+        return all(self._holds(objs, cells, n, s) for s in _subsets(n, r + 2))
+
+    def fillers(self, n: int, entries: tuple, pruned: list | None = None) -> list:
+        """From level rank+1 every object and cell lies in a face, so the
+        entries determine the one candidate; it fills when ``contains`` it.
+        Nothing is recorded in ``pruned``."""
+        r = self.rank
+        if n <= r:
+            return super().fillers(n, entries, pruned)
+        self._check_level(n)
+        objs: list = [None] * len(_subsets(n, r))
+        cells: list = [None] * len(_subsets(n, r + 1))
+        for i, face in enumerate(entries):
+            parts = _restriction(delta.face(i, n))
+            if not (
+                _merge(objs, parts[r - 1], face.objects) and _merge(cells, parts[r], face.cells)
+            ):
+                return []
+        x = self.simplex(n, tuple(objs), tuple(cells))
+        return [x] if self.contains(x) else []
+
+    def act(self, xi: MonotoneMap, x: _NerveSimplex) -> _NerveSimplex:
+        if xi.codomain_top != x.n:
+            raise DomainMismatchError("map endpoints do not match the simplex level")
+        objs_of, cells_of = _plan(xi, self.rank)
+        objs = objs_of(x.objects + self._units)
+        cells = cells_of(x.cells + tuple(map(self._identities.__getitem__, objs)))
+        return self.simplex(xi.domain_top, objs, cells)
+
+
+class MonoidalNerve(_PosetalNerve):
     """The nerve of a posetal monoidal 2-category, truncated at ``top_level``."""
+
+    rank = 2
+    simplex = MonoidalNerveSimplex
 
     def __init__(self, b: PosetalMonoidalBicat, top_level: int = 4, validate: bool = True):
         if validate:
             require_valid(validate_monoidal_bicat(b))
-        super().__init__(top_level)
+        super().__init__(b, top_level, (b.unit_object,))
         self.b = b
 
-    # -- enumeration ----------------------------------------------------
+    def _hom(self, objs, n, s):
+        """The triple (i, j, k) runs from a_jk (x) a_ij to a_ik."""
+        b, idx = self.b, interval_index(n)
+        i, j, k = s
+        return b.hom(b.tensor_objects(objs[idx[(j, k)]], objs[idx[(i, j)]]), objs[idx[(i, k)]])
 
-    def _quad_ok(self, objs, cells, n, quad) -> bool:
-        b = self.b
-        i, j, k, l = quad
-        idx = interval_index(n)
-        tdx = triple_index(n)
-        a_ij = objs[idx[(i, j)]]
-        a_kl = objs[idx[(k, l)]]
+    def _holds(self, objs, cells, n, s):
+        b, idx, tdx = self.b, interval_index(n), triple_index(n)
+        i, j, k, l = s
         lhs = b.compose_cells(
             cells[tdx[(i, j, l)]],
-            b.tensor_cells(cells[tdx[(j, k, l)]], b.identity_of(a_ij)),
+            b.tensor_cells(cells[tdx[(j, k, l)]], b.identity_of(objs[idx[(i, j)]])),
         )
         rhs = b.compose_cells(
             cells[tdx[(i, k, l)]],
-            b.tensor_cells(b.identity_of(a_kl), cells[tdx[(i, j, k)]]),
+            b.tensor_cells(b.identity_of(objs[idx[(k, l)]]), cells[tdx[(i, j, k)]]),
         )
         return b.leq_cells(lhs, rhs)
 
-    def _enumerate(self, n: int) -> tuple[MonoidalNerveSimplex, ...]:
-        b = self.b
-        pos = intervals(n)
-        idx = interval_index(n)
-        tris = triples(n)
-        tdx = triple_index(n)
-        # triples become checkable once their last interval (the outer one,
-        # latest in canonical order) is assigned
-        tri_ready: list[list[tuple[int, int, int]]] = [[] for _ in pos]
-        for t in tris:
-            i, j, k = t
-            tri_ready[max(idx[(i, j)], idx[(j, k)], idx[(i, k)])].append(t)
-        # quadruples become checkable once their lex-last triple is assigned
-        quad_ready: list[list[tuple[int, int, int, int]]] = [[] for _ in tris]
-        for quad in combinations(range(n + 1), 4):
-            _, j, k, l = quad
-            quad_ready[tdx[(j, k, l)]].append(quad)
 
-        results: list[MonoidalNerveSimplex] = []
-        objs: list[str] = [""] * len(pos)
-        cells: list[str] = [""] * len(tris)
-
-        def assign_cells(t_pos: int) -> None:
-            if t_pos == len(tris):
-                results.append(MonoidalNerveSimplex(n, tuple(objs), tuple(cells)))
-                return
-            i, j, k = tris[t_pos]
-            dom = b.tensor_objects(objs[idx[(j, k)]], objs[idx[(i, j)]])
-            cod = objs[idx[(i, k)]]
-            for cell in b.hom(dom, cod):
-                cells[t_pos] = cell
-                if all(
-                    self._quad_ok(objs, cells, n, quad)
-                    for quad in quad_ready[t_pos]
-                ):
-                    assign_cells(t_pos + 1)
-
-        def assign_objects(o_pos: int) -> None:
-            if o_pos == len(pos):
-                assign_cells(0)
-                return
-            for obj in b.objects:
-                objs[o_pos] = obj
-                ok = True
-                for (i, j, k) in tri_ready[o_pos]:
-                    dom = b.tensor_objects(objs[idx[(j, k)]], objs[idx[(i, j)]])
-                    if not b.hom(dom, objs[idx[(i, k)]]):
-                        ok = False
-                        break
-                if ok:
-                    assign_objects(o_pos + 1)
-
-        if n == 0:
-            return (MonoidalNerveSimplex(0, (), ()),)
-        assign_objects(0)
-        return tuple(results)
-
-    def contains(self, x: MonoidalNerveSimplex) -> bool:
-        """Whether x is a simplex: known objects, every cell in its hom, and
-        every quadruple's inequality."""
-        b, n = self.b, x.n
-        idx = interval_index(n)
-        objs, cells = x.objects, x.cells
-        if len(objs) != len(idx) or len(cells) != len(triples(n)):
-            return False
-        if not all(o in b.objects for o in objs):
-            return False
-        for (i, j, k), cell in zip(triples(n), cells):
-            dom = b.tensor_objects(objs[idx[(j, k)]], objs[idx[(i, j)]])
-            if cell not in b.hom(dom, objs[idx[(i, k)]]):
-                return False
-        return all(
-            self._quad_ok(objs, cells, n, quad)
-            for quad in combinations(range(n + 1), 4)
-        )
-
-    def fillers(self, n: int, entries: tuple, pruned: list | None = None) -> list:
-        """From level 3 every interval and triple lies in a face, so the
-        entries determine the one candidate; it fills when ``contains`` it.
-        Nothing is recorded in ``pruned``."""
-        if n < 3:
-            return super().fillers(n, entries, pruned)
-        self._check_level(n)
-        objs: list = [None] * len(intervals(n))
-        cells: list = [None] * len(triples(n))
-        for i, face in enumerate(entries):
-            obj_src, cell_src = _restriction(delta.face(i, n))
-            if not (
-                _merge(objs, obj_src, face.objects) and _merge(cells, cell_src, face.cells)
-            ):
-                return []
-        x = MonoidalNerveSimplex(n, tuple(objs), tuple(cells))
-        return [x] if self.contains(x) else []
-
-    # -- simplicial-set interface ----------------------------------------
-
-    def act(self, xi: MonotoneMap, x: MonoidalNerveSimplex) -> MonoidalNerveSimplex:
-        if xi.codomain_top != x.n:
-            raise DomainMismatchError("map endpoints do not match the simplex level")
-        objs_of, cells_of = _monoidal_plan(xi)
-        objs = objs_of(x.objects + (self.b.unit_object,))
-        cells = cells_of(x.cells + tuple(map(self.b.identities.__getitem__, objs)))
-        return MonoidalNerveSimplex(xi.domain_top, objs, cells)
-
-
-class BicatNerve(TruncatedSimplicialSet):
+class BicatNerve(_PosetalNerve):
     """The nerve of a posetal 2-category, truncated at ``top_level``."""
+
+    rank = 1
+    simplex = BicatNerveSimplex
 
     def __init__(self, k: PosetalBicat, top_level: int = 4, validate: bool = True):
         if validate:
             require_valid(validate_bicat(k))
-        super().__init__(top_level)
+        super().__init__(k, top_level, ())
         self.k = k
 
-    def _enumerate(self, n: int) -> tuple[BicatNerveSimplex, ...]:
-        k = self.k
-        pos = intervals(n)
-        idx = interval_index(n)
-        results: list[BicatNerveSimplex] = []
-        cells: list[str] = [""] * len(pos)
+    def _hom(self, objs, n, s):
+        i, j = s
+        return self.k.hom(objs[i], objs[j])
 
-        def assign_cells(c_pos: int, verts) -> None:
-            if c_pos == len(pos):
-                results.append(BicatNerveSimplex(n, verts, tuple(cells)))
-                return
-            i, j = pos[c_pos]
-            for cell in k.hom(verts[i], verts[j]):
-                cells[c_pos] = cell
-                # the outer interval closes every triple (i, q, j)
-                if all(
-                    k.leq_cells(
-                        k.compose_cells(cells[idx[(q, j)]], cells[idx[(i, q)]]),
-                        cell,
-                    )
-                    for q in range(i + 1, j)
-                ):
-                    assign_cells(c_pos + 1, verts)
-
-        for verts in product(k.objects, repeat=n + 1):
-            assign_cells(0, verts)
-        return tuple(results)
-
-    def contains(self, x: BicatNerveSimplex) -> bool:
-        """Whether x is a simplex: known vertices, every cell in its hom, and
-        every triple's inequality."""
-        k, n = self.k, x.n
-        verts, cells = x.vertices, x.cells
-        if len(verts) != n + 1 or len(cells) != len(intervals(n)):
-            return False
-        if not all(v in k.objects for v in verts):
-            return False
-        if not all(
-            cell in k.hom(verts[i], verts[j])
-            for (i, j), cell in zip(intervals(n), cells)
-        ):
-            return False
-        return all(
-            k.leq_cells(k.compose_cells(x.cell_at(q, j), x.cell_at(i, q)), x.cell_at(i, j))
-            for (i, q, j) in triples(n)
-        )
-
-    def fillers(self, n: int, entries: tuple, pruned: list | None = None) -> list:
-        """From level 2 every vertex and interval lies in a face, so the
-        entries determine the one candidate; it fills when ``contains`` it.
-        Nothing is recorded in ``pruned``."""
-        if n < 2:
-            return super().fillers(n, entries, pruned)
-        self._check_level(n)
-        verts: list = [None] * (n + 1)
-        cells: list = [None] * len(intervals(n))
-        for i, face in enumerate(entries):
-            xi = delta.face(i, n)
-            if not (
-                _merge(verts, xi.values, face.vertices)
-                and _merge(cells, _restriction(xi)[0], face.cells)
-            ):
-                return []
-        x = BicatNerveSimplex(n, tuple(verts), tuple(cells))
-        return [x] if self.contains(x) else []
-
-    def act(self, xi: MonotoneMap, x: BicatNerveSimplex) -> BicatNerveSimplex:
-        if xi.codomain_top != x.n:
-            raise DomainMismatchError("map endpoints do not match the simplex level")
-        verts_of, cells_of = _bicat_plan(xi)
-        verts = verts_of(x.vertices)
-        cells = cells_of(x.cells + tuple(map(self.k.identities.__getitem__, verts)))
-        return BicatNerveSimplex(xi.domain_top, verts, cells)
+    def _holds(self, objs, cells, n, s):
+        k, idx = self.k, interval_index(n)
+        i, q, j = s
+        return k.leq_cells(k.compose_cells(cells[idx[(q, j)]], cells[idx[(i, q)]]), cells[idx[(i, j)]])

@@ -272,17 +272,30 @@ def test_output_to_a_directory_exits_two_without_traceback(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,ceiling",
     [
-        ["enumerate", "--n", "13"],
-        ["export", "--what", "catalan", "--n", "13", "--output", "-"],
-        ["enumerate", "--n", "14"],
+        (["enumerate", "--n", "13"], 12),
+        (["export", "--what", "catalan", "--n", "13", "--output", "-"], 12),
+        (["enumerate", "--n", "14"], 12),
+        (["verify-identities", "--input", "chain3-min", "--max-n", "5"], 4),
+        (["verify-identities", "--max-n", "9"], 8),
+        (["order-probe", "--n", "7"], 6),
     ],
-    ids=["enumerate-13", "export-13", "enumerate-14"],
+    ids=[
+        "enumerate-13",
+        "export-13",
+        "enumerate-14",
+        "verify-identities-input-5",
+        "verify-identities-9",
+        "order-probe-7",
+    ],
 )
-def test_levels_above_the_held_bound_exit_two_at_once(argv):
-    proc = run_process(*argv, timeout=60)
+def test_levels_above_the_held_bound_exit_two_at_once(argv, ceiling):
+    """Each level argument above its ceiling exits before any work: the
+    uncapped runs take 38 s (identities at 9) to minutes, past the timeout."""
+    proc = run_process(*argv, timeout=20)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert f"level {argv[argv.index('--n') + 1]} outside 0..12" in proc.stderr
+    level = next(argv[k + 1] for k, a in enumerate(argv) if a in ("--n", "--max-n"))
+    assert f"level {level} outside 0..{ceiling}" in proc.stderr
     assert proc.stdout == ""

@@ -3,7 +3,7 @@ import pytest
 from catalan_sset import delta, sset
 from catalan_sset.bicats import PosetalMonoidalBicat
 from catalan_sset.bicats import Cell, PosetalBicat, embed, suspend
-from catalan_sset.catalan import CatalanSet, enumerate_level, intervals
+from catalan_sset.catalan import CatalanSet, enumerate_level, interval_index, intervals
 from catalan_sset.inputs import load_suite, suite_names
 from catalan_sset.nerve import (
     BicatNerve,
@@ -161,14 +161,14 @@ def _bicat_act_by_intervals(nk, xi, x):
     """The plain nerve's pullback worked out interval by interval: the oracle
     for ``BicatNerve.act``."""
     m = xi.domain_top
-    verts = tuple(x.vertices[xi.values[p]] for p in range(m + 1))
+    verts = tuple(x.objects[xi.values[p]] for p in range(m + 1))
     cells = []
     for (p, q) in intervals(m):
         a, c = xi.values[p], xi.values[q]
         if a < c:
-            cells.append(x.cell_at(a, c))
+            cells.append(x.cells[interval_index(x.n)[(a, c)]])
         else:
-            cells.append(nk.k.identity_of(x.vertices[a]))
+            cells.append(nk.k.identity_of(x.objects[a]))
     return BicatNerveSimplex(m, verts, tuple(cells))
 
 
@@ -197,7 +197,7 @@ def test_bicat_nerve_act_equals_the_interval_loop():
 def _monoidal_act_by_restriction(nv, xi, x):
     """The monoidal nerve's pullback read slot by slot from the restriction
     plan: the oracle for the gathers of ``MonoidalNerve.act``."""
-    obj_src, cell_src = _restriction(xi)
+    _, obj_src, cell_src = _restriction(xi)
     unit, identity_of = nv.b.unit_object, nv.b.identity_of
     objs = tuple(x.objects[k] if k >= 0 else unit for k in obj_src)
     cells = tuple(x.cells[k] if k >= 0 else identity_of(objs[~k]) for k in cell_src)
@@ -245,3 +245,21 @@ def test_nerve_act_equals_the_oracles_on_the_level_four_images_of_every_map():
                     assert nerve.act(xi, x) == oracle(nerve, xi, x), (str(xi), x)
                     checked += 1
     assert checked > 0
+
+
+def test_levels_are_ordered_by_object_then_cell_positions():
+    """The order the face tables, the filler scan and the rejection
+    witnesses rest on: each level strictly increases in the positions of a
+    simplex's objects among the input's objects, then of its cells among
+    the input's cells."""
+    spaces = [(nv, nv.b) for _, nv in _monoidal_suite_nerves()]
+    spaces += [(nk, nk.k) for _, nk in _plain_suite_nerves()]
+    for nerve, bicat in spaces:
+        obj_pos = {o: k for k, o in enumerate(bicat.objects)}
+        cell_pos = {c.name: k for k, c in enumerate(bicat.cells)}
+        for n in range(5):
+            keys = [
+                (tuple(obj_pos[o] for o in x.objects), tuple(cell_pos[c] for c in x.cells))
+                for x in nerve.level(n)
+            ]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (nerve, n)
