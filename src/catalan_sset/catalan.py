@@ -17,9 +17,8 @@ endpoints collapse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import sset
 from .delta import MonotoneMap
@@ -70,9 +69,12 @@ def interval_index(n: int) -> dict[tuple[int, int], int]:
     return {pair: k for k, pair in enumerate(intervals(n))}
 
 
-@dataclass(frozen=True, slots=True)
-class LaxMatrix:
-    """One simplex: its level ``n`` and the packed interval bits."""
+class LaxMatrix(NamedTuple):
+    """One simplex: its level ``n`` and the packed interval bits.
+
+    A tuple of its two fields, so hashing, equality and field reads run in
+    C; it equals the plain tuple ``(n, bits)``.
+    """
 
     n: int
     bits: int
@@ -207,7 +209,7 @@ def act(xi: MonotoneMap, x: LaxMatrix) -> LaxMatrix:
         raise DomainMismatchError(
             f"map into [{xi.codomain_top}] cannot act on a level-{x.n} simplex"
         )
-    return LaxMatrix(xi.domain_top, _act_bits(_act_table(xi), x.bits))
+    return tuple.__new__(LaxMatrix, (xi.domain_top, _act_bits(_act_table(xi), x.bits)))
 
 
 def catalan_number(m: int) -> int:

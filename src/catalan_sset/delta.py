@@ -8,10 +8,9 @@ the rest of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     DomainMismatchError,
@@ -31,28 +30,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class MonotoneMap:
-    """A weakly increasing function [domain_top] -> [codomain_top], stored pointwise."""
-
+class _MonotoneFields(NamedTuple):
     domain_top: int
     codomain_top: int
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if self.domain_top < 0 or self.codomain_top < 0:
+
+class MonotoneMap(_MonotoneFields):
+    """A weakly increasing function [domain_top] -> [codomain_top], stored pointwise.
+
+    A tuple of its three fields, so hashing, equality and field reads run
+    in C; it equals the plain tuple ``(domain_top, codomain_top, values)``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, domain_top: int, codomain_top: int, values):
+        values = tuple(values)
+        if domain_top < 0 or codomain_top < 0:
             raise OutOfRangeError("ordinal tops must be non-negative")
-        if len(self.values) != self.domain_top + 1:
-            raise OutOfRangeError(
-                f"expected {self.domain_top + 1} values, got {len(self.values)}"
-            )
-        for p, (a, b) in enumerate(zip(self.values, self.values[1:])):
+        if len(values) != domain_top + 1:
+            raise OutOfRangeError(f"expected {domain_top + 1} values, got {len(values)}")
+        for p, (a, b) in enumerate(zip(values, values[1:])):
             if b < a:
                 raise NonMonotoneError(f"values decrease at position {p}: {a} > {b}")
-        for v in self.values:
-            if not 0 <= v <= self.codomain_top:
-                raise OutOfRangeError(f"value {v} outside [0, {self.codomain_top}]")
+        for v in values:
+            if not 0 <= v <= codomain_top:
+                raise OutOfRangeError(f"value {v} outside [0, {codomain_top}]")
+        return tuple.__new__(cls, (domain_top, codomain_top, values))
 
     def __call__(self, p: int) -> int:
         return self.values[p]

@@ -16,10 +16,9 @@ still read pairs, through ``entry`` and the ``pairs`` view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .catalan import LaxMatrix, intervals, lax_from_bits
 from .delta import MonotoneMap
@@ -49,8 +48,6 @@ __all__ = [
 
 
 _NO_STRAYS: frozenset = frozenset()
-_new = object.__new__
-_set = object.__setattr__  # the classes are frozen
 
 
 def _rows_from_pairs(pairs, row_top: int, col_top: int) -> tuple[tuple, frozenset]:
@@ -75,70 +72,63 @@ def _pairs_of_rows(rows: tuple, stray: frozenset) -> frozenset:
     ) | stray
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class InterpolativeRelation:
+class _RelationFields(NamedTuple):
+    n: int
+    rows: tuple[int, ...]
+    stray: frozenset
+
+
+class InterpolativeRelation(_RelationFields):
     """A reflexive symmetric relation on [n] with the interpolation property.
 
     Stored as one bitmask per row: bit b of ``rows[a]`` says (a, b) is
-    related.  ``pairs`` is a derived view.
+    related.  ``pairs`` is a derived view; ``stray`` keeps the given pairs
+    outside [n] x [n].  A tuple of its fields, so hashing, equality and
+    field reads run in C; it equals the plain tuple ``(n, rows, stray)``.
     """
 
-    n: int
-    rows: tuple[int, ...]
-    _stray: frozenset
+    __slots__ = ()
 
-    def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
-        rows, stray = _rows_from_pairs(pairs, n, n)
-        _set(self, "n", n)
-        _set(self, "rows", rows)
-        _set(self, "_stray", stray)
+    def __new__(cls, n: int, pairs: Iterable[tuple[int, int]]):
+        return tuple.__new__(cls, (n, *_rows_from_pairs(pairs, n, n)))
 
-    @classmethod
-    def _from_rows(cls, n: int, rows: tuple[int, ...]) -> "InterpolativeRelation":
-        rel = _new(cls)
-        _set(rel, "n", n)
-        _set(rel, "rows", rows)
-        _set(rel, "_stray", _NO_STRAYS)
-        return rel
+    def __getnewargs__(self):  # copy and pickle rebuild through ``__new__``
+        return self.n, self.pairs
 
     @property
     def pairs(self) -> frozenset:
-        return _pairs_of_rows(self.rows, self._stray)
+        return _pairs_of_rows(self.rows, self.stray)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class IdealRelation:
+class _IdealFields(NamedTuple):
+    m_top: int
+    n_top: int
+    rows: tuple[int, ...]
+    stray: frozenset
+
+
+class IdealRelation(_IdealFields):
     """An ideal [m_top] -/-> [n_top]: pairs (j, i) in [n_top] x [m_top],
     closed under shrinking j and growing i.
 
     Stored as one bitmask per j in [n_top]: bit i of ``rows[j]`` says
-    (j, i) is in the ideal.  ``pairs`` is a derived view.
+    (j, i) is in the ideal.  ``pairs`` is a derived view; ``stray`` keeps
+    the given pairs outside the grid.  A tuple of its fields, so hashing,
+    equality and field reads run in C; it equals the plain tuple
+    ``(m_top, n_top, rows, stray)``.
     """
 
-    m_top: int
-    n_top: int
-    rows: tuple[int, ...]
-    _stray: frozenset
+    __slots__ = ()
 
-    def __init__(self, m_top: int, n_top: int, pairs: Iterable[tuple[int, int]]):
-        rows, stray = _rows_from_pairs(pairs, n_top, m_top)
-        _set(self, "m_top", m_top)
-        _set(self, "n_top", n_top)
-        _set(self, "rows", rows)
-        _set(self, "_stray", stray)
+    def __new__(cls, m_top: int, n_top: int, pairs: Iterable[tuple[int, int]]):
+        return tuple.__new__(cls, (m_top, n_top, *_rows_from_pairs(pairs, n_top, m_top)))
 
-    @classmethod
-    def _from_rows(cls, m_top: int, n_top: int, rows: tuple[int, ...]) -> "IdealRelation":
-        ideal = _new(cls)
-        _set(ideal, "m_top", m_top)
-        _set(ideal, "n_top", n_top)
-        _set(ideal, "rows", rows)
-        _set(ideal, "_stray", _NO_STRAYS)
-        return ideal
+    def __getnewargs__(self):
+        return self.m_top, self.n_top, self.pairs
 
     @property
     def pairs(self) -> frozenset:
-        return _pairs_of_rows(self.rows, self._stray)
+        return _pairs_of_rows(self.rows, self.stray)
 
 
 @lru_cache(maxsize=None)
@@ -204,7 +194,9 @@ def relation_to_lax(rel: InterpolativeRelation) -> LaxMatrix:
 def relation_pullback(xi: MonotoneMap, rel: InterpolativeRelation) -> InterpolativeRelation:
     if xi.codomain_top != rel.n:
         raise ShapeMismatchError("pullback endpoints do not match")
-    return InterpolativeRelation._from_rows(xi.domain_top, _gather(xi, rel.rows))
+    return tuple.__new__(
+        InterpolativeRelation, (xi.domain_top, _gather(xi, rel.rows), _NO_STRAYS)
+    )
 
 
 # -- square ideals ---------------------------------------------------------
@@ -266,31 +258,30 @@ def compose_ideals(a: IdealRelation, b: IdealRelation) -> IdealRelation:
         raise ShapeMismatchError(
             f"cannot compose: middle ordinals [{b.n_top}] vs [{a.m_top}]"
         )
-    # row j of the composite ORs the rows of b that row j of a picks out
+    # row j of the composite ORs the rows of b that the set bits of row j
+    # of a pick out, lowest bit first
     b_rows = b.rows
     rows = []
     for r in a.rows:
         acc = 0
-        k = 0
         while r:
-            if r & 1:
-                acc |= b_rows[k]
-            r >>= 1
-            k += 1
+            low = r & -r
+            acc |= b_rows[low.bit_length() - 1]
+            r ^= low
         rows.append(acc)
     # stray pairs still compose, through a middle index outside [a.m_top]
-    for (j, k) in a._stray:
+    for (j, k) in a.stray:
         if 0 <= j <= a.n_top:
-            for (k2, i) in b._stray:
+            for (k2, i) in b.stray:
                 if k2 == k and 0 <= i <= b.m_top:
                     rows[j] |= 1 << i
-    return IdealRelation._from_rows(b.m_top, a.n_top, tuple(rows))
+    return tuple.__new__(IdealRelation, (b.m_top, a.n_top, tuple(rows), _NO_STRAYS))
 
 
 def ideal_leq(a: IdealRelation, b: IdealRelation) -> bool:
     if (a.m_top, a.n_top) != (b.m_top, b.n_top):
         raise ShapeMismatchError("cannot compare ideals of different shapes")
-    return a._stray <= b._stray and all(
+    return a.stray <= b.stray and all(
         x & ~y == 0 for x, y in zip(a.rows, b.rows)
     )
 
@@ -325,7 +316,7 @@ def ideal_pullback(xi: MonotoneMap, b: IdealRelation) -> IdealRelation:
     if b.m_top != b.n_top or xi.codomain_top != b.n_top:
         raise ShapeMismatchError("pullback needs a square ideal at the map's target")
     m = xi.domain_top
-    return IdealRelation._from_rows(m, m, _gather(xi, b.rows))
+    return tuple.__new__(IdealRelation, (m, m, _gather(xi, b.rows), _NO_STRAYS))
 
 
 def enumerate_square_ideals(n: int) -> tuple[IdealRelation, ...]:

@@ -27,10 +27,10 @@ gathers per map and rank, cached beside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import delta
 from .bicats import (
@@ -134,8 +134,13 @@ def _merge(slots: list, sources, values) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class _NerveSimplex:
+class _NerveSimplex(NamedTuple):
+    """A nerve simplex: its level, its objects and its cells in storage
+    order.  A tuple of its fields, so hashing, equality and field reads run
+    in C; it equals the plain tuple ``(n, objects, cells)``, and so a
+    monoidal and a plain nerve simplex with the same fields are equal.  No
+    level, face table, image table or id dict holds both kinds."""
+
     n: int
     objects: tuple[str, ...]
     cells: tuple[str, ...]
@@ -145,14 +150,16 @@ class _NerveSimplex:
 
 
 class MonoidalNerveSimplex(_NerveSimplex):
-    """Objects per interval (canonical order) and cells per triple (lex order)."""
+    """Objects per interval (canonical order) and cells per triple (lex
+    order); equal to a ``BicatNerveSimplex`` or a tuple with the same fields."""
 
     __slots__ = ()
     tag = "NrvM"
 
 
 class BicatNerveSimplex(_NerveSimplex):
-    """Objects per vertex and cells per interval (canonical order)."""
+    """Objects per vertex and cells per interval (canonical order); equal to
+    a ``MonoidalNerveSimplex`` or a tuple with the same fields."""
 
     __slots__ = ()
     tag = "NrvK"
@@ -264,7 +271,7 @@ class _PosetalNerve(TruncatedSimplicialSet):
         objs_of, cells_of = _plan(xi, self.rank)
         objs = objs_of(x.objects + self._units)
         cells = cells_of(x.cells + tuple(map(self._identities.__getitem__, objs)))
-        return self.simplex(xi.domain_top, objs, cells)
+        return tuple.__new__(self.simplex, (xi.domain_top, objs, cells))
 
 
 class MonoidalNerve(_PosetalNerve):

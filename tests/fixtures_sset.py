@@ -1,13 +1,17 @@
 """Hand-built truncated simplicial sets for the tests: the terminal one,
 and one given by explicit tables that a test can corrupt for fault
-injection.  Imported by the test modules; pytest does not collect it."""
+injection; and the nerves of every bundled suite input.  Imported by the
+test modules; pytest does not collect it."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from catalan_sset import delta
+from catalan_sset.bicats import PosetalMonoidalBicat, embed
 from catalan_sset.delta import MonotoneMap
+from catalan_sset.inputs import load_suite, suite_names
+from catalan_sset.nerve import BicatNerve, MonoidalNerve
 from catalan_sset.sset import Code, TruncatedSimplicialSet
 
 
@@ -68,3 +72,18 @@ class TableSimplicialSet(TruncatedSimplicialSet):
         for i, lvl in reversed(degs):
             x = self.degeneracies[(i, lvl, x)]
         return x
+
+
+def suite_nerves() -> list[tuple[str, TruncatedSimplicialSet]]:
+    """(name, nerve) for every suite input: the monoidal nerve of each
+    monoidal input, the plain nerve of each bicategory."""
+    spaces = []
+    for name in suite_names():
+        source = load_suite(name)
+        if hasattr(source, "elements"):
+            spaces.append((name, MonoidalNerve(embed(source))))
+            continue
+        if isinstance(source, PosetalMonoidalBicat):
+            spaces.append((name, MonoidalNerve(source)))
+        spaces.append((name, BicatNerve(source)))
+    return spaces

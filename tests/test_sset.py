@@ -27,7 +27,7 @@ from catalan_sset.sset import (
     is_compatible_boundary,
     naturality_failures,
 )
-from fixtures_sset import PointSimplicialSet, TableSimplicialSet
+from fixtures_sset import PointSimplicialSet, TableSimplicialSet, suite_nerves
 
 
 @pytest.fixture(scope="module")
@@ -274,22 +274,9 @@ def test_duplicate_filler_is_reported():
 # -- memoised face tables ----------------------------------------------------------
 
 
-def _suite_nerves():
-    spaces = []
-    for name in suite_names():
-        source = load_suite(name)
-        if hasattr(source, "elements"):
-            spaces.append((name, MonoidalNerve(embed(source))))
-            continue
-        if isinstance(source, PosetalMonoidalBicat):
-            spaces.append((name, MonoidalNerve(source)))
-        spaces.append((name, BicatNerve(source)))
-    return spaces
-
-
 @pytest.fixture(scope="module")
 def face_table_spaces(c5):
-    return [("catalan", c5, 5)] + [(name, nv, 4) for name, nv in _suite_nerves()]
+    return [("catalan", c5, 5)] + [(name, nv, 4) for name, nv in suite_nerves()]
 
 
 def test_face_table_rows_equal_the_face_oracle(face_table_spaces):
