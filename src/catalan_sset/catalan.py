@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from . import sset
@@ -113,16 +114,25 @@ def lax_from_bits(n: int, bits: Iterable[int]) -> LaxMatrix:
     return LaxMatrix(n, packed)
 
 
-def _ballot_leaves(n: int, nondegenerate: bool) -> Iterator[int]:
-    """The packed bits of each simplex at level n, one at a time, unsorted.
+def _ballot_leaves(n: int, nondegenerate: bool) -> Iterator[list[int]]:
+    """The packed bits of each simplex at level n, in chunks, unsorted.
 
     A simplex is fixed by r(i), the largest j with x(i, j) = 0: row i holds
     zeros on (i, i+1) ... (i, r(i)) and ones beyond, and r runs over the
     weakly increasing sequences with i <= r(i) <= n.  A simplex is
     degenerate iff some i < n has r(i) = r(i+1) >= i+1 while no p < i has
     r(p) = i; every extension of a prefix meeting that test meets it too,
-    so with ``nondegenerate`` the walk skips the whole subtree.  The walk
-    holds one stack of O(n^2) prefixes and keeps no leaf.
+    so with ``nondegenerate`` the walk skips the whole subtree.
+
+    The walk splits at row h = max(0, n - 5).  Rows 0 .. h-1 are walked on
+    an explicit stack of prefixes.  The choices on the last rows h .. n
+    depend only on r(h-1) and, with ``nondegenerate``, on the bits of
+    ``hit`` from h-1 up, so their zero masks are tabulated once per such
+    state, in a dict local to the call: at most 7 states (127 with
+    ``nondegenerate``) of at most 132 masks each, whatever n is.  Each
+    prefix yields one chunk, its complement XORed onto every mask in its
+    state's table; prefix and suffix bits are disjoint, so that is one leaf
+    per simplex, and no leaf outlives its chunk.
     """
     if n < 0:
         raise LevelTooLargeError("level must be >= 0")
@@ -140,23 +150,37 @@ def _ballot_leaves(n: int, nondegenerate: bool) -> Iterator[int]:
         for j in range(i + 1, n + 1):
             row.append(row[-1] | 1 << (count - 1 - idx[(i, j)]))
         zero_masks.append(row)
-    # (i, r(i-1), zeros so far, bit v set when some p < i has r(p) = v)
-    stack = [(0, 0, 0, 0)]
-    while stack:
-        i, prev, zeros, hit = stack.pop()
-        if i > n:
-            yield full & ~zeros
-            continue
-        masks = zero_masks[i]
-        for r in range(max(i, prev), n + 1):
-            if nondegenerate and r == prev >= i > 0 and not hit >> (i - 1) & 1:
+
+    def walk(start, prev, hit, stop):
+        """(r(stop-1), zeros on rows start .. stop-1, hit) for every way to
+        fill those rows after a prefix with r(start-1) = prev; bit v of hit
+        is set when some earlier row p has r(p) = v."""
+        stack = [(start, prev, 0, hit)]
+        while stack:
+            i, prev, zeros, hit = stack.pop()
+            if i == stop:
+                yield prev, zeros, hit
                 continue
-            stack.append((i + 1, r, zeros | masks[r - i], hit | 1 << r))
+            masks = zero_masks[i]
+            for r in range(max(i, prev), n + 1):
+                if nondegenerate and r == prev >= i > 0 and not hit >> (i - 1) & 1:
+                    continue
+                stack.append((i + 1, r, zeros | masks[r - i], hit | 1 << r))
+
+    h = max(0, n - 5)
+    tables = {}
+    for prev, zeros, hit in walk(0, 0, 0, h):
+        state = (prev, hit >> max(h - 1, 0)) if nondegenerate else prev
+        table = tables.get(state)
+        if table is None:
+            table = tables[state] = tuple(z for _, z, _ in walk(h, prev, hit, n + 1))
+        yield list(map((full ^ zeros).__xor__, table))
 
 
 def _ballot_level(n: int, nondegenerate: bool) -> tuple[LaxMatrix, ...]:
     """The leaves of the ballot walk as simplices, in canonical order."""
-    return tuple(LaxMatrix(n, bits) for bits in sorted(_ballot_leaves(n, nondegenerate)))
+    leaves = sorted(chain.from_iterable(_ballot_leaves(n, nondegenerate)))
+    return tuple(LaxMatrix(n, bits) for bits in leaves)
 
 
 @lru_cache(maxsize=None)
@@ -173,8 +197,8 @@ def _level_positions(n: int) -> dict[int, int]:
 
 def level_count(n: int) -> int:
     """The number of simplices at a level: the ballot walk's leaves, counted
-    one at a time, so no level is built or cached."""
-    return sum(1 for _ in _ballot_leaves(n, nondegenerate=False))
+    a chunk at a time, so no level is built or cached."""
+    return sum(map(len, _ballot_leaves(n, nondegenerate=False)))
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +261,7 @@ def nondegenerate_level(n: int) -> tuple[LaxMatrix, ...]:
 def nondegenerate_count(n: int) -> int:
     """The number of non-degenerate simplices at a level, counted like
     ``level_count``."""
-    return sum(1 for _ in _ballot_leaves(n, nondegenerate=True))
+    return sum(map(len, _ballot_leaves(n, nondegenerate=True)))
 
 
 def level_export(n: int) -> dict:

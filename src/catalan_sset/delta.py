@@ -59,6 +59,11 @@ class MonotoneMap(_MonotoneFields):
                 raise OutOfRangeError(f"value {v} outside [0, {codomain_top}]")
         return tuple.__new__(cls, (domain_top, codomain_top, values))
 
+    @classmethod
+    def _make(cls, iterable) -> MonotoneMap:
+        """Build through the checks of ``__new__``; ``_replace`` calls this."""
+        return cls(*iterable)
+
     def __call__(self, p: int) -> int:
         return self.values[p]
 

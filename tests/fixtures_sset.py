@@ -74,16 +74,18 @@ class TableSimplicialSet(TruncatedSimplicialSet):
         return x
 
 
-def suite_nerves() -> list[tuple[str, TruncatedSimplicialSet]]:
+def suite_nerves(plain_posets: bool = False) -> list[tuple[str, TruncatedSimplicialSet]]:
     """(name, nerve) for every suite input: the monoidal nerve of each
-    monoidal input, the plain nerve of each bicategory."""
+    monoidal input, posets embedded, then the plain nerve of each
+    bicategory; with ``plain_posets`` also of each embedded poset."""
     spaces = []
     for name in suite_names():
         source = load_suite(name)
-        if hasattr(source, "elements"):
-            spaces.append((name, MonoidalNerve(embed(source))))
-            continue
+        poset = hasattr(source, "elements")
+        if poset:
+            source = embed(source)
         if isinstance(source, PosetalMonoidalBicat):
             spaces.append((name, MonoidalNerve(source)))
-        spaces.append((name, BicatNerve(source)))
+        if plain_posets or not poset:
+            spaces.append((name, BicatNerve(source)))
     return spaces

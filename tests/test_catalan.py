@@ -80,6 +80,42 @@ def _ballot_rule_degenerate(r):
     )
 
 
+def _ballot_leaves_one_at_a_time(n, nondegenerate):
+    """Oracle for ``catalan._ballot_leaves``: the whole ballot walk on one
+    explicit stack, one leaf per stack pop, with no table of suffixes."""
+    idx = interval_index(n)
+    count = len(idx)
+    full = (1 << count) - 1
+    # zero_masks[i][r - i]: the bits of (i, i+1) ... (i, r)
+    zero_masks = []
+    for i in range(n + 1):
+        row = [0]
+        for j in range(i + 1, n + 1):
+            row.append(row[-1] | 1 << (count - 1 - idx[(i, j)]))
+        zero_masks.append(row)
+    # (i, r(i-1), zeros so far, bit v set when some p < i has r(p) = v)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        i, prev, zeros, hit = stack.pop()
+        if i > n:
+            yield full & ~zeros
+            continue
+        masks = zero_masks[i]
+        for r in range(max(i, prev), n + 1):
+            if nondegenerate and r == prev >= i > 0 and not hit >> (i - 1) & 1:
+                continue
+            stack.append((i + 1, r, zeros | masks[r - i], hit | 1 << r))
+
+
+@pytest.mark.parametrize("nondegenerate", [False, True])
+@pytest.mark.parametrize("n", range(13))
+def test_ballot_walk_chunks_hold_the_leaves_of_the_one_at_a_time_walk(n, nondegenerate):
+    chunks = catalan._ballot_leaves(n, nondegenerate)
+    assert sorted(bits for chunk in chunks for bits in chunk) == sorted(
+        _ballot_leaves_one_at_a_time(n, nondegenerate)
+    )
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_enumerate_level_matches_the_closure_law_oracle(n):
     assert enumerate_level(n) == _closure_level(n)

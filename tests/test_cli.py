@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 from catalan_sset import classify, cli
-from catalan_sset.catalan import enumerate_level, nondegenerate_level
+from catalan_sset.catalan import (
+    enumerate_level,
+    level_count,
+    nondegenerate_count,
+    nondegenerate_level,
+)
 from catalan_sset.classify import ClassificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,6 +75,19 @@ def test_count_builds_no_level_and_runs_in_constant_memory(capsys):
     assert out.count(" ok\n") == 11
     assert enumerate_level.cache_info().currsize == 0
     assert nondegenerate_level.cache_info().currsize == 0
+    assert peak < 1_000_000
+
+
+def test_count_walk_memory_does_not_grow_with_the_level():
+    """Level 12 holds 742 900 simplices; the walk that counts them keeps no
+    leaf and tables only the last rows, so it peaks under the same bound."""
+    tracemalloc.start()
+    try:
+        counts = (level_count(12), nondegenerate_count(12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts == (742_900, 15_511)
     assert peak < 1_000_000
 
 

@@ -27,6 +27,16 @@ def test_decreasing_values_rejected():
         MonotoneMap(1, 1, (1, 0))
 
 
+def test_make_and_replace_check_like_the_constructor():
+    with pytest.raises(NonMonotoneError):
+        MonotoneMap._make((1, 1, (1, 0)))
+    with pytest.raises(NonMonotoneError):
+        MonotoneMap(1, 1, (0, 1))._replace(values=(1, 0))
+    xi = MonotoneMap(1, 2, (0, 1))._replace(values=[0, 2])
+    assert xi == MonotoneMap(1, 2, (0, 2))
+    assert type(xi) is MonotoneMap and type(xi.values) is tuple
+
+
 def test_value_out_of_range_rejected():
     with pytest.raises(OutOfRangeError):
         MonotoneMap(1, 1, (0, 2))

@@ -1,10 +1,9 @@
 import pytest
 
 from catalan_sset import delta, sset
-from catalan_sset.bicats import PosetalMonoidalBicat
 from catalan_sset.bicats import Cell, PosetalBicat, embed, suspend
 from catalan_sset.catalan import CatalanSet, enumerate_level, interval_index, intervals
-from catalan_sset.inputs import load_suite, suite_names
+from catalan_sset.inputs import load_suite
 from catalan_sset.nerve import (
     BicatNerve,
     BicatNerveSimplex,
@@ -14,6 +13,7 @@ from catalan_sset.nerve import (
     triples,
 )
 from catalan_sset.posets import MonoidalPoset
+from fixtures_sset import suite_nerves
 
 
 @pytest.fixture(scope="module")
@@ -175,9 +175,9 @@ def _bicat_act_by_intervals(nk, xi, x):
 def _plain_suite_nerves():
     """The plain nerve of every 2-category input, and of every monoidal
     poset input embedded."""
-    for name in suite_names():
-        source = load_suite(name)
-        yield name, BicatNerve(embed(source) if hasattr(source, "elements") else source)
+    return [
+        (name, X) for name, X in suite_nerves(plain_posets=True) if isinstance(X, BicatNerve)
+    ]
 
 
 def test_bicat_nerve_act_equals_the_interval_loop():
@@ -206,12 +206,7 @@ def _monoidal_act_by_restriction(nv, xi, x):
 
 def _monoidal_suite_nerves():
     """The monoidal nerve of every monoidal input, posets embedded."""
-    for name in suite_names():
-        source = load_suite(name)
-        if hasattr(source, "elements"):
-            yield name, MonoidalNerve(embed(source))
-        elif isinstance(source, PosetalMonoidalBicat):
-            yield name, MonoidalNerve(source)
+    return [(name, X) for name, X in suite_nerves() if isinstance(X, MonoidalNerve)]
 
 
 def test_monoidal_nerve_act_equals_the_restriction_oracle():

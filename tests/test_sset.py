@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catalan_sset import delta
-from catalan_sset.bicats import PosetalMonoidalBicat, embed
+from catalan_sset.bicats import embed
 from catalan_sset.catalan import CatalanSet, LaxMatrix, lax_from_bits
 from catalan_sset.errors import LevelOutOfRangeError
-from catalan_sset.inputs import load_suite, suite_names
+from catalan_sset.inputs import load_suite
 from catalan_sset.catalan import intervals
 from catalan_sset.nerve import (
     BicatNerve,
@@ -422,14 +422,7 @@ def _replay_by_table(f):
 def found_maps(c4):
     """Every map out of the 4-truncated Catalan set into itself and into both
     nerves of every suite input, with the name of its target."""
-    targets = [("catalan", c4)]
-    for name in suite_names():
-        source = load_suite(name)
-        if hasattr(source, "elements"):
-            source = embed(source)
-        if isinstance(source, PosetalMonoidalBicat):
-            targets.append((name, MonoidalNerve(source)))
-        targets.append((name, BicatNerve(source)))
+    targets = [("catalan", c4)] + suite_nerves(plain_posets=True)
     return [
         (name, f) for name, Y in targets for f in enumerate_truncated_maps(c4, Y, 4).maps
     ]
