@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from . import sset
@@ -114,7 +114,7 @@ def lax_from_bits(n: int, bits: Iterable[int]) -> LaxMatrix:
     return LaxMatrix(n, packed)
 
 
-def _ballot_leaves(n: int, nondegenerate: bool) -> Iterator[list[int]]:
+def _ballot_leaves(n: int, nondegenerate: bool) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The packed bits of each simplex at level n, in chunks, unsorted.
 
     A simplex is fixed by r(i), the largest j with x(i, j) = 0: row i holds
@@ -130,9 +130,11 @@ def _ballot_leaves(n: int, nondegenerate: bool) -> Iterator[list[int]]:
     ``hit`` from h-1 up, so their zero masks are tabulated once per such
     state, in a dict local to the call: at most 7 states (127 with
     ``nondegenerate``) of at most 132 masks each, whatever n is.  Each
-    prefix yields one chunk, its complement XORed onto every mask in its
-    state's table; prefix and suffix bits are disjoint, so that is one leaf
-    per simplex, and no leaf outlives its chunk.
+    prefix yields one chunk ``(comp, table)``: its leaves are ``comp ^ z``
+    for z in its state's table.  Prefix and suffix bits are disjoint, so
+    that is one leaf per simplex, and XOR with a fixed ``comp`` is a
+    bijection, so a chunk holds exactly ``len(table)`` leaves and a count
+    never builds one.
     """
     if n < 0:
         raise LevelTooLargeError("level must be >= 0")
@@ -174,13 +176,16 @@ def _ballot_leaves(n: int, nondegenerate: bool) -> Iterator[list[int]]:
         table = tables.get(state)
         if table is None:
             table = tables[state] = tuple(z for _, z, _ in walk(h, prev, hit, n + 1))
-        yield list(map((full ^ zeros).__xor__, table))
+        yield full ^ zeros, table
 
 
 def _ballot_level(n: int, nondegenerate: bool) -> tuple[LaxMatrix, ...]:
-    """The leaves of the ballot walk as simplices, in canonical order."""
-    leaves = sorted(chain.from_iterable(_ballot_leaves(n, nondegenerate)))
-    return tuple(LaxMatrix(n, bits) for bits in leaves)
+    """The leaves of the ballot walk as simplices, in canonical order,
+    wrapped in C as ``act`` builds its results."""
+    leaves = sorted(chain.from_iterable(
+        map(comp.__xor__, table) for comp, table in _ballot_leaves(n, nondegenerate)
+    ))
+    return tuple(map(tuple.__new__, repeat(LaxMatrix), zip(repeat(n), leaves)))
 
 
 @lru_cache(maxsize=None)
@@ -197,8 +202,9 @@ def _level_positions(n: int) -> dict[int, int]:
 
 def level_count(n: int) -> int:
     """The number of simplices at a level: the ballot walk's leaves, counted
-    a chunk at a time, so no level is built or cached."""
-    return sum(map(len, _ballot_leaves(n, nondegenerate=False)))
+    a chunk at a time from its suffix tables, so no leaf is built and no
+    level is cached."""
+    return sum(len(table) for _, table in _ballot_leaves(n, nondegenerate=False))
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +267,7 @@ def nondegenerate_level(n: int) -> tuple[LaxMatrix, ...]:
 def nondegenerate_count(n: int) -> int:
     """The number of non-degenerate simplices at a level, counted like
     ``level_count``."""
-    return sum(map(len, _ballot_leaves(n, nondegenerate=True)))
+    return sum(len(table) for _, table in _ballot_leaves(n, nondegenerate=True))
 
 
 def level_export(n: int) -> dict:

@@ -127,18 +127,37 @@ def dyck_words(semilength: int) -> list[str]:
 
 
 def dyck_count(semilength: int) -> int:
-    """The number of leaves of the ``dyck_words`` walk, without the words."""
+    """The number of leaves of the ``dyck_words`` walk, without the words.
+
+    The walk splits at the midpoint of the word.  Its prefixes of length
+    ``semilength`` are walked on an explicit stack.  How a word goes on
+    depends only on the state (ups, downs) its prefix reaches, so the
+    completions of each reached state are walked once, in a dict local to
+    the call, and each prefix adds its state's count.  Every completion
+    ends at (semilength, semilength), so a leaf is one completion of one
+    prefix, and no word is built.
+    """
+
+    def walk(ups, downs, stop):
+        """The state (ups, downs) of every extension to length ``stop``."""
+        stack = [(ups, downs)]
+        while stack:
+            ups, downs = stack.pop()
+            if ups + downs == stop:
+                yield ups, downs
+                continue
+            if downs < ups:
+                stack.append((ups, downs + 1))
+            if ups < semilength:
+                stack.append((ups + 1, downs))
+
+    completions = {}
     count = 0
-    stack = [(0, 0)]
-    while stack:
-        ups, downs = stack.pop()
-        if downs == semilength:
-            count += 1
-            continue
-        if downs < ups:
-            stack.append((ups, downs + 1))
-        if ups < semilength:
-            stack.append((ups + 1, downs))
+    for state in walk(0, 0, semilength):
+        found = completions.get(state)
+        if found is None:
+            found = completions[state] = sum(1 for _ in walk(*state, 2 * semilength))
+        count += found
     return count
 
 

@@ -111,9 +111,16 @@ def _ballot_leaves_one_at_a_time(n, nondegenerate):
 @pytest.mark.parametrize("n", range(13))
 def test_ballot_walk_chunks_hold_the_leaves_of_the_one_at_a_time_walk(n, nondegenerate):
     chunks = catalan._ballot_leaves(n, nondegenerate)
-    assert sorted(bits for chunk in chunks for bits in chunk) == sorted(
+    assert sorted(comp ^ z for comp, table in chunks for z in table) == sorted(
         _ballot_leaves_one_at_a_time(n, nondegenerate)
     )
+
+
+@pytest.mark.parametrize("nondegenerate", [False, True])
+@pytest.mark.parametrize("n", range(13))
+def test_counts_equal_the_leaves_of_the_one_at_a_time_walk(n, nondegenerate):
+    count = nondegenerate_count if nondegenerate else level_count
+    assert count(n) == sum(1 for _ in _ballot_leaves_one_at_a_time(n, nondegenerate))
 
 
 @pytest.mark.parametrize("n", range(11))

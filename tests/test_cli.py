@@ -91,7 +91,6 @@ def test_count_walk_memory_does_not_grow_with_the_level():
     assert peak < 1_000_000
 
 
-@pytest.mark.slow
 def test_count_reaches_the_enumeration_ceiling(capsys):
     code, out, _ = run(capsys, "count", "--max-n", "14")
     assert code == 0

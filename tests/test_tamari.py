@@ -29,8 +29,30 @@ def test_path_count_matches_closed_form():
         assert dyck_count(s) == catalan_number(s)
 
 
+def _dyck_count_one_at_a_time(semilength):
+    """Oracle for ``dyck_count``: the whole balanced-word walk on one
+    explicit stack, one leaf per stack pop, with no table of completions."""
+    count = 0
+    stack = [(0, 0)]
+    while stack:
+        ups, downs = stack.pop()
+        if downs == semilength:
+            count += 1
+            continue
+        if downs < ups:
+            stack.append((ups, downs + 1))
+        if ups < semilength:
+            stack.append((ups + 1, downs))
+    return count
+
+
+def test_path_count_equals_the_one_at_a_time_walk():
+    for s in range(14):
+        assert dyck_count(s) == _dyck_count_one_at_a_time(s)
+
+
 def test_path_count_counts_the_words():
-    for s in range(11):
+    for s in range(12):
         assert dyck_count(s) == len(dyck_words(s))
 
 
