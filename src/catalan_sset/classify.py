@@ -1,13 +1,15 @@
 """Brute-force classification checks, verified by independent double counting.
 
-Three routes are compared on every input.  A generic backtracking search
-enumerates simplicial maps from the 4-truncation of the Catalan set into
-the input's nerve.  A direct route enumerates candidate generating data (an
-object with a multiplication and a unit cell, or an object with an
-endo-cell) and keeps the candidates whose induced images of all named
-simplices really are simplices of the nerve.  Finally the internal
-structures are enumerated straight from the hom-poset inequalities.  The
-verdict is OK only when the three agree bijectively.
+The theorem and the monad remark are one comparison at two ranks: maps
+into the rank-2 (monoidal) nerve against skew monoidales, and maps into the
+rank-1 (plain) nerve against monads.  At either rank three routes are
+compared.  A generic backtracking search enumerates simplicial maps from
+the 4-truncation of the Catalan set into the input's nerve.  A direct route
+enumerates candidate generating data (an object with a multiplication and a
+unit cell, or an object with an endo-cell) and keeps the candidates whose
+induced images of all named simplices really are simplices of the nerve.
+Finally the internal structures are enumerated straight from the hom-poset
+inequalities.  The verdict is OK only when the three agree bijectively.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from . import sset
 from .bicats import (
@@ -24,15 +27,9 @@ from .bicats import (
     validate_bicat,
     validate_monoidal_bicat,
 )
-from .catalan import CatalanSet, intervals
+from .catalan import CatalanSet
 from .catalogue import catalogue
-from .nerve import (
-    BicatNerve,
-    BicatNerveSimplex,
-    MonoidalNerve,
-    MonoidalNerveSimplex,
-    triples,
-)
+from .nerve import BicatNerve, MonoidalNerve, _PosetalNerve, _subsets
 
 __all__ = [
     "SkewMonoidale",
@@ -114,44 +111,49 @@ def monads(k: PosetalBicat) -> list[MonadStructure]:
     return out
 
 
-# -- named-image construction ------------------------------------------------
+# -- named images --------------------------------------------------------------
 
 
-def _monoidal_images(b: PosetalMonoidalBicat, a: str, t: str, i: str) -> dict:
-    """Images of every catalogued simplex induced by generating data."""
+def _images(nerve: _PosetalNerve, objects: dict, cells: dict) -> dict:
+    """Images of every catalogued simplex under the map that generating data
+    induces, in the nerve's storage order: the object on each r-subset and
+    the cell on each (r+1)-subset, looked up by the bits of that subset's
+    intervals."""
+    r, record = nerve.rank, {}
+    for ns in catalogue():
+        n, x = ns.level, ns.matrix
+
+        def at(table: dict, s: tuple[int, ...]) -> str:
+            return table[tuple(x.entry(p, q) for p, q in combinations(s, 2))]
+
+        record[ns.name] = nerve.simplex(
+            n,
+            tuple(at(objects, s) for s in _subsets(n, r)),
+            tuple(at(cells, s) for s in _subsets(n, r + 1)),
+        )
+    return record
+
+
+def _monoidale_data(b: PosetalMonoidalBicat):
+    """The rank-2 object and cell tables of each candidate (a, t, i).  The
+    cell on a triple (i, j, k) runs from a_jk (x) a_ij to a_ik and is keyed
+    by the bits of (i, j), (i, k), (j, k)."""
     unit = b.unit_object
-    id_a = b.identity_of(a)
     id_i = b.identity_of(unit)
-    cell_for = {
-        (1, 1, 1): t,
-        (0, 0, 1): i,
-        (0, 1, 1): id_a,
-        (1, 0, 1): id_a,
-        (0, 0, 0): id_i,
-    }
-    record = {}
-    for ns in catalogue():
-        n, x = ns.level, ns.matrix
-        objs = tuple(a if x.entry(p, q) else unit for (p, q) in intervals(n))
-        cells = tuple(
-            cell_for[(x.entry(p, q), x.entry(q, r), x.entry(p, r))]
-            for (p, q, r) in triples(n)
-        )
-        record[ns.name] = MonoidalNerveSimplex(n, objs, cells)
-    return record
+    for a in b.objects:
+        id_a = b.identity_of(a)
+        for t in b.hom(b.tensor_objects(a, a), a):
+            for i in b.hom(unit, a):
+                yield {(0,): unit, (1,): a}, {
+                    (1, 1, 1): t, (0, 1, 0): i, (0, 1, 1): id_a, (1, 1, 0): id_a, (0, 0, 0): id_i
+                }
 
 
-def _bicat_images(k: PosetalBicat, x_obj: str, t: str) -> dict:
-    id_x = k.identity_of(x_obj)
-    record = {}
-    for ns in catalogue():
-        n, x = ns.level, ns.matrix
-        verts = tuple(x_obj for _ in range(n + 1))
-        cells = tuple(
-            t if x.entry(p, q) else id_x for (p, q) in intervals(n)
-        )
-        record[ns.name] = BicatNerveSimplex(n, verts, cells)
-    return record
+def _monad_data(k: PosetalBicat):
+    """The rank-1 object and cell tables of each candidate (x, t)."""
+    for x in k.objects:
+        for t in k.hom(x, x):
+            yield {(): x}, {(0,): k.identity_of(x), (1,): t}
 
 
 def _record_of_map(f: sset.TruncatedMap) -> dict:
@@ -192,23 +194,26 @@ def direct_classification(b: PosetalMonoidalBicat) -> list[dict]:
     where the structural inequalities bite and the level-4 entries must
     never cut anything further.
     """
-    return _direct_records(MonoidalNerve(b))
+    return _direct_records(MonoidalNerve(b), _monoidale_data(b))
 
 
-def _direct_records(nerve: MonoidalNerve) -> list[dict]:
-    b = nerve.b
+def _direct_records(nerve: _PosetalNerve, candidates) -> list[dict]:
+    """The images of each candidate's tables, kept when the nerve contains
+    every one of them."""
     records = []
-    for a in b.objects:
-        for t in b.hom(b.tensor_objects(a, a), a):
-            for i in b.hom(b.unit_object, a):
-                record = _monoidal_images(b, a, t, i)
-                if all(nerve.contains(x) for x in record.values()):
-                    records.append(record)
+    for objects, cells in candidates:
+        record = _images(nerve, objects, cells)
+        if all(map(nerve.contains, record.values())):
+            records.append(record)
     records.sort(key=_record_key)
     return records
 
 
 # -- reports -------------------------------------------------------------------
+
+
+#: per kind of report: what its census holds and what a map's generating data is
+_WORDS = {"monoidale": ("structures", "generating data"), "monad": ("monads", "monad data")}
 
 
 @dataclass
@@ -227,7 +232,7 @@ class ClassificationReport:
         return self.verdict == "OK"
 
     def structures_label(self) -> str:
-        return "structures" if self.kind == "monoidale" else "monads"
+        return _WORDS[self.kind][0]
 
     def summary(self) -> str:
         return (
@@ -252,87 +257,59 @@ class ClassificationReport:
         return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
-def verify_theorem(b: PosetalMonoidalBicat, input_name: str = "input") -> ClassificationReport:
-    """Compare generic map enumeration, direct classification and the
-    internal structures; OK means all three agree bijectively."""
+def _verdict(
+    input_name: str, kind: str, nerve: _PosetalNerve, candidates, census: list, data_of,
+    fields: tuple[str, ...], notes: tuple = (),
+) -> ClassificationReport:
+    """Compare generic map search into the nerve, the direct route over the
+    candidates' tables and the census; OK means all three agree bijectively.
+    ``data_of`` reads a map's generating data off its record, in the order
+    of the census's ``fields``."""
+    label, data_word = _WORDS[kind]
     failures: list[str] = []
-    # one nerve serves both counts; the routes differ in how they search it
-    nerve = MonoidalNerve(b)
+    # one nerve serves both searches; the routes differ in how they search it
     generic = _map_records(nerve)
-    direct = _direct_records(nerve)
-    structures = skew_monoidales(b)
+    direct = _direct_records(nerve, candidates)
     if [_record_key(r) for r in generic] != [_record_key(r) for r in direct]:
         failures.append(
             f"direct enumeration found {len(direct)} assignments, generic search {len(generic)}"
         )
-    triples_of_maps = [
-        (r["c"].objects[0], r["t"].cells[0], r["i"].cells[0]) for r in generic
-    ]
-    structure_tuples = [(s.carrier, s.mult, s.unit) for s in structures]
-    if len(set(triples_of_maps)) != len(triples_of_maps):
-        failures.append("two distinct maps induce the same generating data")
-    if sorted(set(triples_of_maps)) != sorted(structure_tuples):
-        failures.append(
-            f"map data {sorted(set(triples_of_maps))} differ from structures {sorted(structure_tuples)}"
-        )
+    data = [data_of(r) for r in generic]
+    structures = sorted(tuple(getattr(s, f) for f in fields) for s in census)
+    if len(set(data)) != len(data):
+        failures.append(f"two distinct maps induce the same {data_word}")
+    if sorted(set(data)) != structures:
+        failures.append(f"map data {sorted(set(data))} differ from {label} {structures}")
     correspondence = tuple(
-        (
-            {name: repr(code) for name, code in rec.items()},
-            {"carrier": tr[0], "mult": tr[1], "unit": tr[2]},
-        )
-        for rec, tr in zip(generic, triples_of_maps)
+        ({name: repr(code) for name, code in rec.items()}, dict(zip(fields, d)))
+        for rec, d in zip(generic, data)
     )
+    verdict = "OK" if not failures and len(generic) == len(census) else "FAIL"
+    return ClassificationReport(
+        input_name, kind, len(generic), len(census), correspondence, verdict,
+        tuple(failures), notes,
+    )
+
+
+def verify_theorem(b: PosetalMonoidalBicat, input_name: str = "input") -> ClassificationReport:
+    """The theorem at rank 2: maps into the monoidal nerve against the skew
+    monoidales."""
+    census = skew_monoidales(b)  # validates b, so the nerve need not
     notes = (
         "strict unit: the doubled unit object equals the unit itself, so unit "
         "cells are taken at the unit object and no adjustment is needed",
     )
-    verdict = "OK" if not failures and len(generic) == len(structures) else "FAIL"
-    return ClassificationReport(
-        input_name,
-        "monoidale",
-        len(generic),
-        len(structures),
-        correspondence,
-        verdict,
-        tuple(failures),
-        notes,
+    return _verdict(
+        input_name, "monoidale", MonoidalNerve(b, validate=False), _monoidale_data(b), census,
+        lambda r: (r["c"].objects[0], r["t"].cells[0], r["i"].cells[0]),
+        ("carrier", "mult", "unit"), notes,
     )
 
 
 def verify_monad_remark(k: PosetalBicat, input_name: str = "input") -> ClassificationReport:
-    """Compare map enumeration into the plain nerve with the monad census."""
-    records = _map_records(BicatNerve(k))
-    found = monads(k)
-    failures: list[str] = []
-    pairs_of_maps = [(r["star"].objects[0], r["c"].cells[0]) for r in records]
-    monad_pairs = [(m.carrier, m.endo) for m in found]
-    if len(set(pairs_of_maps)) != len(pairs_of_maps):
-        failures.append("two distinct maps induce the same monad data")
-    if sorted(set(pairs_of_maps)) != sorted(monad_pairs):
-        failures.append(
-            f"map data {sorted(set(pairs_of_maps))} differ from monads {sorted(monad_pairs)}"
-        )
-    # cross-check the direct images as well: each monad's induced record
-    # must be exactly one of the enumerated maps
-    direct_records = sorted(
-        (_bicat_images(k, m.carrier, m.endo) for m in found), key=_record_key
-    )
-    if [_record_key(r) for r in direct_records] != [_record_key(r) for r in records]:
-        failures.append("monad-induced images differ from the enumerated maps")
-    correspondence = tuple(
-        (
-            {name: repr(code) for name, code in rec.items()},
-            {"carrier": pr[0], "endo": pr[1]},
-        )
-        for rec, pr in zip(records, pairs_of_maps)
-    )
-    verdict = "OK" if not failures and len(records) == len(found) else "FAIL"
-    return ClassificationReport(
-        input_name,
-        "monad",
-        len(records),
-        len(found),
-        correspondence,
-        verdict,
-        tuple(failures),
+    """The remark at rank 1: maps into the plain nerve against the monads."""
+    census = monads(k)  # validates k, so the nerve need not
+    return _verdict(
+        input_name, "monad", BicatNerve(k, validate=False), _monad_data(k), census,
+        lambda r: (r["star"].objects[0], r["c"].cells[0]), ("carrier", "endo"),
     )

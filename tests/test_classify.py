@@ -1,8 +1,11 @@
 import json
+import sys
+from dataclasses import astuple
 
 import pytest
 
-from catalan_sset.bicats import embed
+from catalan_sset import bicats, classify, cli
+from catalan_sset.bicats import embed, suspend
 from catalan_sset.classify import (
     MonadStructure,
     SkewMonoidale,
@@ -228,3 +231,138 @@ def test_theorem_on_four_element_chains(tensor, unit, count):
     report = verify_theorem(b, input_name="chain4")
     assert report.ok, report.failures
     assert report.map_count == report.structure_count == len(skew_monoidales(b)) == count
+
+
+def _capped_chain3():
+    """The chain 0 <= 1 <= 2 under addition capped at 2, with unit 0."""
+    elements = ["0", "1", "2"]
+    return parse_document({
+        "elements": elements,
+        "leq": [[a, b] for a in elements for b in elements if a <= b],
+        "tensor": {
+            f"{a},{b}": str(min(2, int(a) + int(b))) for a in elements for b in elements
+        },
+        "unit": "0",
+    })
+
+
+# Suspensions whose censuses need every unit and monad inequality.  In
+# Sigma(and2) every candidate (t, i) passes associativity and the left unit
+# but only (1, 1) the right unit, and the cell 0 is idempotent but not above
+# the identity 1.  In Sigma(capped chain3) the cell 1 is above the identity
+# 0 but 1.1 = 2 is not below 1.
+@pytest.mark.parametrize(
+    "make,monoidales,found",
+    [
+        (lambda: suspend(load_suite("and2")), [SkewMonoidale("*", "1", "1")], ["1"]),
+        (lambda: suspend(_capped_chain3()), [SkewMonoidale("*", "0", "0")], ["0", "2"]),
+    ],
+    ids=["sigma-and2", "sigma-capped-chain3"],
+)
+def test_suspensions_that_need_every_census_inequality(make, monoidales, found):
+    b = make()
+    theorem = verify_theorem(b)
+    assert theorem.ok, theorem.failures
+    assert (theorem.map_count, theorem.structure_count) == (len(monoidales),) * 2
+    remark = verify_monad_remark(b)
+    assert remark.ok, remark.failures
+    assert (remark.map_count, remark.structure_count) == (len(found),) * 2
+    assert skew_monoidales(b) == monoidales
+    assert monads(b) == [MonadStructure("*", t) for t in found]
+
+
+# per kind: an input with two structures, its verdict and its census
+_KINDS = {
+    "monoidale": (lambda: embed(load_suite("or2")), "verify_theorem", "skew_monoidales"),
+    "monad": (lambda: load_suite("sigma-or2"), "verify_monad_remark", "monads"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_a_census_missing_a_structure_fails(monkeypatch, kind):
+    make, verify, census = _KINDS[kind]
+    b = make()
+    full = getattr(classify, census)
+    data = sorted(map(astuple, full(b)))
+    rest = sorted(map(astuple, full(b)[1:]))
+    monkeypatch.setattr(classify, census, lambda b: full(b)[1:])
+    report = getattr(classify, verify)(b)
+    assert report.verdict == "FAIL"
+    assert report.failures == (
+        f"map data {data} differ from {report.structures_label()} {rest}",
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_a_direct_route_missing_a_record_fails(monkeypatch, kind):
+    make, verify, _ = _KINDS[kind]
+    b = make()
+    direct = classify._direct_records
+    monkeypatch.setattr(
+        classify, "_direct_records", lambda nerve, candidates: direct(nerve, candidates)[1:]
+    )
+    report = getattr(classify, verify)(b)
+    assert report.verdict == "FAIL"
+    assert report.failures == ("direct enumeration found 1 assignments, generic search 2",)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_two_maps_with_the_same_data_fail(monkeypatch, kind):
+    make, verify, _ = _KINDS[kind]
+    b = make()
+    generic = classify._map_records
+
+    def with_a_twin(nerve):
+        # a third map that differs from the first only on A1, so it carries
+        # the first map's generating data
+        records = generic(nerve)
+        return records + [dict(records[0], A1=records[1]["A1"])]
+
+    monkeypatch.setattr(classify, "_map_records", with_a_twin)
+    report = getattr(classify, verify)(b)
+    assert report.verdict == "FAIL"
+    data_word = "generating data" if kind == "monoidale" else "monad data"
+    assert report.failures == (
+        "direct enumeration found 2 assignments, generic search 3",
+        f"two distinct maps induce the same {data_word}",
+    )
+
+
+def _count_validations(monkeypatch) -> list[str]:
+    """Record each call of the two 2-category validators, under whatever
+    name a package module bound them."""
+    calls: list[str] = []
+    originals = {
+        name: getattr(bicats, name) for name in ("validate_bicat", "validate_monoidal_bicat")
+    }
+
+    def counted(name):
+        def validate(b):
+            calls.append(name)
+            return originals[name](b)
+
+        return validate
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("catalan_sset"):
+            for name, original in originals.items():
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name))
+    return calls
+
+
+def test_one_verdict_validates_its_input_once(monkeypatch, capsys):
+    theorem_input, remark_input = embed(load_suite("or2")), load_suite("sigma-or2")
+    calls = _count_validations(monkeypatch)
+    assert verify_theorem(theorem_input).ok
+    # the monoidal validator runs the plain one on the same input first
+    assert calls == ["validate_monoidal_bicat", "validate_bicat"]
+    calls.clear()
+    assert verify_monad_remark(remark_input).ok
+    assert calls == ["validate_bicat"]
+    calls.clear()
+    # on the CLI's poset path, ``embed`` validates what it builds and the
+    # census validates once more
+    assert cli.main(["verify-theorem", "--input", "or2"]) == 0
+    assert calls.count("validate_monoidal_bicat") == 2
+    capsys.readouterr()

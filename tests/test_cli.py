@@ -24,6 +24,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text(encoding="utf-8")
 )
+# stdout digests the benchmark does not pin: the rank-1 verdict on inputs
+# with several objects
+PINS = {
+    "verify-monads --input or2 --format json":
+        "3248e8e99e872b81ce0316ec27164590a4bd43c90cf257671cdd2f026c1b5fb8",
+    "verify-monads --input and2 --format json":
+        "27c61a058314767d78766941f702b6399e072e61a5e2bf4ccf884f17e43f5d9c",
+    "verify-monads --input chain3-max --format json":
+        "e98f5d990a6902348fe8bbba28e0457f272b1814259aa387ca239ee30b222403",
+    "verify-monads --input chain3-min --format json":
+        "beab50f574aa730f4f5858c523ce7fe86a2a66a6c208057055ee279d2a6df9e6",
+}
+PINNED = {**DIGESTS, **PINS}
 
 
 def run(capsys, *argv):
@@ -99,13 +112,13 @@ def test_count_reaches_the_enumeration_ceiling(capsys):
     assert all(row.endswith("  ok") for row in rows)
 
 
-@pytest.mark.parametrize("command", sorted(DIGESTS))
+@pytest.mark.parametrize("command", sorted(PINNED))
 def test_stdout_matches_the_pinned_digest(command):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(command.split())
     assert code == 0
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DIGESTS[command]
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PINNED[command]
 
 
 def test_count_rejects_bad_levels(capsys):
