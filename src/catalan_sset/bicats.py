@@ -10,8 +10,7 @@ can check every law exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NotCommutativeError
 from .posets import MonoidalPoset, ValidationReport, require_valid, validate_monoidal_poset
@@ -27,32 +26,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     name: str
     src: str
     dst: str
 
 
-@dataclass
 class PosetalBicat:
     """Objects, 1-cells, hom-poset order, composition and identities."""
 
-    objects: tuple[str, ...]
-    cells: tuple[Cell, ...]
-    leq: frozenset
-    compose: Mapping[tuple[str, str], str]
-    identities: Mapping[str, str]
+    __slots__ = ("objects", "cells", "leq", "compose", "identities", "_src", "_dst", "_hom")
 
-    def __post_init__(self):
-        self._src = {c.name: c.src for c in self.cells}
-        self._dst = {c.name: c.dst for c in self.cells}
-        self._hom: dict[tuple[str, str], tuple[str, ...]] = {}
-        for x in self.objects:
-            for y in self.objects:
-                self._hom[(x, y)] = tuple(
-                    c.name for c in self.cells if c.src == x and c.dst == y
-                )
+    def __init__(
+        self, objects: tuple[str, ...], cells: tuple[Cell, ...], leq: frozenset,
+        compose: Mapping[tuple[str, str], str], identities: Mapping[str, str],
+    ):
+        self.objects = objects
+        self.cells = cells
+        self.leq = leq
+        self.compose = compose
+        self.identities = identities
+        # cell name -> source and target; (source, target) -> the hom's cells in order
+        self._src, self._dst, self._hom = {}, {}, {}
+        for c in cells:
+            self._src[c.name] = c.src
+            self._dst[c.name] = c.dst
+            self._hom[(c.src, c.dst)] = self._hom.get((c.src, c.dst), ()) + (c.name,)
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
@@ -74,13 +73,20 @@ class PosetalBicat:
         return self.identities[x]
 
 
-@dataclass
 class PosetalMonoidalBicat(PosetalBicat):
     """A posetal 2-category with strict tensor tables and a unit object."""
 
-    obj_tensor: Mapping[tuple[str, str], str] = field(default_factory=dict)
-    cell_tensor: Mapping[tuple[str, str], str] = field(default_factory=dict)
-    unit_object: str = ""
+    __slots__ = ("obj_tensor", "cell_tensor", "unit_object")
+
+    def __init__(
+        self, objects, cells, leq, compose, identities,
+        obj_tensor: Mapping[tuple[str, str], str], cell_tensor: Mapping[tuple[str, str], str],
+        unit_object: str,
+    ):
+        super().__init__(objects, cells, leq, compose, identities)
+        self.obj_tensor = obj_tensor
+        self.cell_tensor = cell_tensor
+        self.unit_object = unit_object
 
     def tensor_objects(self, x: str, y: str) -> str:
         return self.obj_tensor[(x, y)]
@@ -185,10 +191,11 @@ def validate_monoidal_bicat(b: PosetalMonoidalBicat) -> ValidationReport:
                 bad.append(f"cell tensor undefined on ({f}, {g})")
     if bad:
         return ValidationReport("monoidal 2-category", tuple(bad))
+    nameset = set(names)
     for f in names:
         for g in names:
             h = b.cell_tensor[(f, g)]
-            if h not in set(names):
+            if h not in nameset:
                 bad.append(f"cell tensor ({f}, {g}) = {h} unknown")
                 continue
             want_src = b.obj_tensor[(b.src(f), b.src(g))]

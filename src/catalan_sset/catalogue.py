@@ -12,8 +12,8 @@ re-derivable by pulling the stored table back along the face maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import delta
 from .catalan import CatalanSet, LaxMatrix, act
@@ -33,8 +33,7 @@ __all__ = [
 FaceRef = tuple[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class NamedSimplex:
+class NamedSimplex(NamedTuple):
     name: str
     level: int
     faces: tuple[FaceRef, ...]
@@ -125,8 +124,7 @@ def named(name: str) -> NamedSimplex:
     raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class CatalogueReport:
+class CatalogueReport(NamedTuple):
     mismatches: tuple[str, ...]
 
     @property

@@ -15,9 +15,9 @@ inequalities.  The verdict is OK only when the three agree bijectively.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import sset
 from .bicats import (
@@ -44,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SkewMonoidale:
+class SkewMonoidale(NamedTuple):
     """An object with multiplication A (x) A -> A and unit I -> A, witnessed
     by three hom-poset inequalities (associativity, left unit, right unit)."""
 
@@ -54,8 +53,7 @@ class SkewMonoidale:
     unit: str
 
 
-@dataclass(frozen=True)
-class MonadStructure:
+class MonadStructure(NamedTuple):
     """An object with an endo-cell t satisfying t.t <= t and 1 <= t."""
 
     carrier: str
@@ -216,8 +214,7 @@ def _direct_records(nerve: _PosetalNerve, candidates) -> list[dict]:
 _WORDS = {"monoidale": ("structures", "generating data"), "monad": ("monads", "monad data")}
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     input_name: str
     kind: str  # "monoidale" or "monad"
     map_count: int

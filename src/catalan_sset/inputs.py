@@ -136,6 +136,8 @@ def load_path(path: str | Path):
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidInputError(f"{path} nests JSON too deeply to parse") from exc
     return parse_document(doc)
 
 

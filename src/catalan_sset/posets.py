@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidInputError
 
@@ -15,8 +14,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     subject: str
     violations: tuple[str, ...]
 
@@ -38,8 +36,7 @@ def require_valid(report: ValidationReport) -> None:
         raise InvalidInputError(report.summary())
 
 
-@dataclass
-class MonoidalPoset:
+class MonoidalPoset(NamedTuple):
     """A finite poset with a monotone, associative, unital binary operation."""
 
     elements: tuple[str, ...]

@@ -10,9 +10,8 @@ here and work against any implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from . import delta
 from .delta import MonotoneMap
@@ -197,16 +196,14 @@ class TruncatedSimplicialSet:
 # -- reports ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityViolation:
+class IdentityViolation(NamedTuple):
     law: str
     level: int
     simplex: Code
     detail: str
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checked: int
     violations: tuple[IdentityViolation, ...]
 
@@ -227,8 +224,7 @@ class IdentityReport:
 # -- boundaries and fillers ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Boundary:
+class Boundary(NamedTuple):
     """An (n+1)-tuple of (n-1)-level simplices standing where faces would."""
 
     dimension: int
@@ -288,8 +284,7 @@ def fillers(X: TruncatedSimplicialSet, b: Boundary) -> list[Code]:
     return TruncatedSimplicialSet.fillers(X, b.dimension, b.entries)
 
 
-@dataclass(frozen=True)
-class FillerReport:
+class FillerReport(NamedTuple):
     dimension: int
     boundary_count: int
     violations: tuple[tuple[Boundary, int], ...]
@@ -346,8 +341,7 @@ class TruncatedMap:
         return f"TruncatedMap({parts})"
 
 
-@dataclass(frozen=True)
-class RejectionWitness:
+class RejectionWitness(NamedTuple):
     level: int
     simplex: Code
     candidate: Code
@@ -356,8 +350,7 @@ class RejectionWitness:
     found: Code
 
 
-@dataclass
-class MapEnumeration:
+class MapEnumeration(NamedTuple):
     maps: list[TruncatedMap]
     rejections: list[RejectionWitness]
 

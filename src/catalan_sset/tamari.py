@@ -16,7 +16,7 @@ some face maps from level 3 upward.  ``order_probe`` reports both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import delta
 from .catalan import LaxMatrix, act, enumerate_level
@@ -171,8 +171,7 @@ def inclusion_leq(x: LaxMatrix, y: LaxMatrix) -> bool:
     return y.bits & ~x.bits == 0
 
 
-@dataclass(frozen=True)
-class OrderProbeReport:
+class OrderProbeReport(NamedTuple):
     level: int
     inclusion_violations: tuple
     rotation_violations: tuple

@@ -1,11 +1,12 @@
+import hashlib
 import json
 import sys
-from dataclasses import astuple
 
 import pytest
 
 from catalan_sset import bicats, classify, cli
 from catalan_sset.bicats import embed, suspend
+from catalan_sset.catalan import CatalanSet
 from catalan_sset.classify import (
     MonadStructure,
     SkewMonoidale,
@@ -19,6 +20,7 @@ from catalan_sset.classify import (
 from catalan_sset.inputs import load_suite, parse_document
 from catalan_sset.nerve import BicatNerve, MonoidalNerve
 from catalan_sset.posets import MonoidalPoset
+from catalan_sset.sset import enumerate_truncated_maps
 
 
 @pytest.fixture(scope="module")
@@ -283,8 +285,8 @@ def test_a_census_missing_a_structure_fails(monkeypatch, kind):
     make, verify, census = _KINDS[kind]
     b = make()
     full = getattr(classify, census)
-    data = sorted(map(astuple, full(b)))
-    rest = sorted(map(astuple, full(b)[1:]))
+    data = sorted(map(tuple, full(b)))
+    rest = sorted(map(tuple, full(b)[1:]))
     monkeypatch.setattr(classify, census, lambda b: full(b)[1:])
     report = getattr(classify, verify)(b)
     assert report.verdict == "FAIL"
@@ -366,3 +368,25 @@ def test_one_verdict_validates_its_input_once(monkeypatch, capsys):
     assert cli.main(["verify-theorem", "--input", "or2"]) == 0
     assert calls.count("validate_monoidal_bicat") == 2
     capsys.readouterr()
+
+
+def test_witness_and_report_reprs_are_pinned():
+    """The reprs of the rejection witnesses and of two verdict reports, as
+    sha256 digests: their ``Name(field=value, ...)`` form is part of what a
+    report prints, and stdout digests do not show it."""
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    c4 = CatalanSet(4)
+    for name, count, pinned in [
+        ("or2", 16, "3506279bd91d17a665f551ab307a60b0357f49ccdb7c1209760daec14f22db78"),
+        ("chain3-min", 86, "2a1a99b6e9f33d724ad969714f6abade2e3e44d46e69419868cdf29bee296f7c"),
+    ]:
+        nerve = MonoidalNerve(embed(load_suite(name)))
+        rejections = enumerate_truncated_maps(c4, nerve, 4).rejections
+        assert len(rejections) == count
+        assert digest("\n".join(map(repr, rejections))) == pinned, name
+    assert digest(repr(verify_theorem(embed(load_suite("or2")), "or2"))) == (
+        "1f2f54c4c29a105814e4b610208cb2e5072f873f077646a12e3ebff28a09af0a"
+    )
+    assert digest(repr(verify_monad_remark(load_suite("sigma-or2"), "sigma-or2"))) == (
+        "7073b99a875dff1b6b7ea144a93807fc6c56d25f1cd7afd6030dff3fb44cb543"
+    )

@@ -272,8 +272,9 @@ def test_failing_verdict_exits_one(capsys, monkeypatch):
         '{"elements": ["0", "1"], "leq": [1, 2], "tensor": {}, "unit": "0"}',
         '{"elements": "01", "leq": [["0", "0"], ["0", "1"], ["1", "1"]],'
         ' "tensor": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"}, "unit": "0"}',
+        "[" * 100000 + "]" * 100000,
     ],
-    ids=["not-json", "leq-not-pairs", "elements-a-string"],
+    ids=["not-json", "leq-not-pairs", "elements-a-string", "nested-too-deep"],
 )
 def test_bad_input_file_exits_two_without_traceback(tmp_path, text):
     target = tmp_path / "bad.json"

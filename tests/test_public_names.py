@@ -146,7 +146,9 @@ def test_every_package_name_is_its_defining_modules_attribute():
 
 
 def _modules_after(argv: list[str]) -> set[str]:
-    """The package modules a fresh interpreter holds after one CLI run."""
+    """The package modules, and ``dataclasses`` if loaded, that a fresh
+    interpreter holds after one CLI run.  The child starts with ``-S``, so no
+    ``.pth`` file of the host's site-packages loads a module for it."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     script = (
         "import contextlib, io, sys\n"
@@ -154,10 +156,11 @@ def _modules_after(argv: list[str]) -> set[str]:
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
         "assert code == 0, code\n"
-        "print(' '.join(m for m in sys.modules if m.startswith('catalan_sset.')))\n"
+        "print(' '.join(m for m in sys.modules\n"
+        "               if m.startswith('catalan_sset.') or m == 'dataclasses'))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -170,7 +173,9 @@ def _modules_after(argv: list[str]) -> set[str]:
 def test_each_verb_loads_only_the_layers_it_runs():
     counted = _modules_after(["count", "--max-n", "2"])
     assert "catalan_sset.tamari" in counted
-    assert not counted & {"catalan_sset.nerve", "catalan_sset.classify", "catalan_sset.models"}
+    assert not counted & {
+        "catalan_sset.nerve", "catalan_sset.classify", "catalan_sset.models", "dataclasses",
+    }
     verdict = _modules_after(["verify-theorem", "--input", "and2"])
     assert {"catalan_sset.classify", "catalan_sset.nerve"} <= verdict
-    assert not verdict & {"catalan_sset.models", "catalan_sset.tamari"}
+    assert not verdict & {"catalan_sset.models", "catalan_sset.tamari", "dataclasses"}
