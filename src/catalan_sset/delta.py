@@ -67,16 +67,6 @@ class MonotoneMap(_MonotoneFields):
     def __call__(self, p: int) -> int:
         return self.values[p]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.domain_top == self.codomain_top and all(
-            v == p for p, v in enumerate(self.values)
-        )
-
-    @property
-    def is_surjective(self) -> bool:
-        return len(set(self.values)) == self.codomain_top + 1
-
     def __str__(self) -> str:
         inside = ",".join(map(str, self.values))
         return f"[{self.domain_top}]->[{self.codomain_top}]:({inside})"

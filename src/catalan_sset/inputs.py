@@ -3,9 +3,10 @@
 A monoidal poset file holds exactly the keys ``elements``, ``leq``,
 ``tensor``, ``unit``; a posetal 2-category file exactly ``objects``,
 ``cells``, ``leq``, ``compose``, ``identities``; the monoidal variant adds
-``obj_tensor``, ``cell_tensor``, ``unit_object``.  Table keys pair names
-with a single comma, so names must not contain commas.  Unknown or missing
-keys are rejected, and every parsed input is validated before use.
+``obj_tensor``, ``cell_tensor``, ``unit_object``.  Every name, table value
+and identity value is a JSON string.  Table keys pair names with a single
+comma, so names must not contain commas.  Unknown or missing keys are
+rejected, and every parsed input is validated before use.
 """
 
 from __future__ import annotations
@@ -47,17 +48,21 @@ def _split_key(key: str) -> tuple[str, str]:
     return a, b
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise InvalidInputError(f"{what} must be a string")
+    return value
+
+
 def _pair_table(doc: dict, key: str) -> dict[tuple[str, str], str]:
     table = doc[key]
     if not isinstance(table, dict):
         raise InvalidInputError(f"{key} must be an object")
-    return {_split_key(k): str(v) for k, v in table.items()}
+    return {_split_key(k): _string(v, f"{key}[{k!r}]") for k, v in table.items()}
 
 
 def _name(doc: dict, key: str) -> str:
-    if not isinstance(doc[key], str):
-        raise InvalidInputError(f"{key} must be a string")
-    return doc[key]
+    return _string(doc[key], key)
 
 
 def _name_list(doc: dict, key: str) -> tuple[str, ...]:
@@ -105,11 +110,12 @@ def parse_document(doc: dict):
         common = dict(
             objects=_name_list(doc, "objects"),
             cells=tuple(
-                Cell(str(c["name"]), str(c["from"]), str(c["to"])) for c in cells
+                Cell(*(_string(c[f], f"cell {f}") for f in ("name", "from", "to")))
+                for c in cells
             ),
             leq=_pair_list(doc, "leq"),
             compose=_pair_table(doc, "compose"),
-            identities={k: str(v) for k, v in identities.items()},
+            identities={k: _string(v, f"identities[{k!r}]") for k, v in identities.items()},
         )
         if keys == BICAT_KEYS:
             out = PosetalBicat(**common)
@@ -161,9 +167,12 @@ def load_suite(name: str):
 
 
 def resolve_input(path_or_name: str):
-    """A filesystem path, or a bundled-suite name like ``or2`` / ``suite/or2.json``."""
+    """A filesystem path, or a bundled-suite name like ``or2`` / ``suite/or2.json``.
+
+    A missing file falls back to the suite only when its directory is ``.``
+    or ``suite``; any other missing path is an error that names it.
+    """
     p = Path(path_or_name)
-    if p.is_file():
+    if p.is_file() or p.parent not in (Path("."), Path("suite")):
         return load_path(p)
-    name = p.name[: -len(".json")] if p.name.endswith(".json") else p.name
-    return load_suite(name)
+    return load_suite(p.name.removesuffix(".json"))

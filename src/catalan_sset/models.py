@@ -38,7 +38,6 @@ __all__ = [
     "lax_to_ideal",
     "ideal_to_lax",
     "identity_ideal",
-    "full_ideal",
     "compose_ideals",
     "ideal_leq",
     "adjoint_ideals",
@@ -47,64 +46,54 @@ __all__ = [
 ]
 
 
-_NO_STRAYS: frozenset = frozenset()
-
-
-def _rows_from_pairs(pairs, row_top: int, col_top: int) -> tuple[tuple, frozenset]:
-    """Row masks of the pairs inside [row_top] x [col_top], and the rest.
-
-    Pairs outside the grid are kept aside rather than dropped, so the
-    validating conversions still see and refuse them.
-    """
+def _rows_from_pairs(pairs, row_top: int, col_top: int, error: type) -> tuple[int, ...]:
+    """Row masks of the pairs in [row_top] x [col_top]; a pair off the grid
+    raises ``error``."""
     rows = [0] * (row_top + 1)
-    stray = []
     for (a, b) in pairs:
-        if 0 <= a <= row_top and 0 <= b <= col_top:
-            rows[a] |= 1 << b
-        else:
-            stray.append((a, b))
-    return tuple(rows), frozenset(stray)
+        if not (0 <= a <= row_top and 0 <= b <= col_top):
+            raise error(f"pair {(a, b)} outside [{row_top}] x [{col_top}]")
+        rows[a] |= 1 << b
+    return tuple(rows)
 
 
-def _pairs_of_rows(rows: tuple, stray: frozenset) -> frozenset:
+def _pairs_of_rows(rows: tuple) -> frozenset:
     return frozenset(
         (a, b) for a, r in enumerate(rows) for b in range(r.bit_length()) if r >> b & 1
-    ) | stray
+    )
 
 
 class _RelationFields(NamedTuple):
     n: int
     rows: tuple[int, ...]
-    stray: frozenset
 
 
 class InterpolativeRelation(_RelationFields):
     """A reflexive symmetric relation on [n] with the interpolation property.
 
     Stored as one bitmask per row: bit b of ``rows[a]`` says (a, b) is
-    related.  ``pairs`` is a derived view; ``stray`` keeps the given pairs
-    outside [n] x [n].  A tuple of its fields, so hashing, equality and
-    field reads run in C; it equals the plain tuple ``(n, rows, stray)``.
+    related.  ``pairs`` is a derived view; a pair outside [n] x [n] raises
+    ``NotInterpolativeError``.  A tuple of its fields, so hashing, equality
+    and field reads run in C; it equals the plain tuple ``(n, rows)``.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, pairs: Iterable[tuple[int, int]]):
-        return tuple.__new__(cls, (n, *_rows_from_pairs(pairs, n, n)))
+        return tuple.__new__(cls, (n, _rows_from_pairs(pairs, n, n, NotInterpolativeError)))
 
     def __getnewargs__(self):  # copy and pickle rebuild through ``__new__``
         return self.n, self.pairs
 
     @property
     def pairs(self) -> frozenset:
-        return _pairs_of_rows(self.rows, self.stray)
+        return _pairs_of_rows(self.rows)
 
 
 class _IdealFields(NamedTuple):
     m_top: int
     n_top: int
     rows: tuple[int, ...]
-    stray: frozenset
 
 
 class IdealRelation(_IdealFields):
@@ -112,23 +101,24 @@ class IdealRelation(_IdealFields):
     closed under shrinking j and growing i.
 
     Stored as one bitmask per j in [n_top]: bit i of ``rows[j]`` says
-    (j, i) is in the ideal.  ``pairs`` is a derived view; ``stray`` keeps
-    the given pairs outside the grid.  A tuple of its fields, so hashing,
-    equality and field reads run in C; it equals the plain tuple
-    ``(m_top, n_top, rows, stray)``.
+    (j, i) is in the ideal.  ``pairs`` is a derived view; a pair outside
+    the grid raises ``NotAnIdealError``.  A tuple of its fields, so
+    hashing, equality and field reads run in C; it equals the plain tuple
+    ``(m_top, n_top, rows)``.
     """
 
     __slots__ = ()
 
     def __new__(cls, m_top: int, n_top: int, pairs: Iterable[tuple[int, int]]):
-        return tuple.__new__(cls, (m_top, n_top, *_rows_from_pairs(pairs, n_top, m_top)))
+        rows = _rows_from_pairs(pairs, n_top, m_top, NotAnIdealError)
+        return tuple.__new__(cls, (m_top, n_top, rows))
 
     def __getnewargs__(self):
         return self.m_top, self.n_top, self.pairs
 
     @property
     def pairs(self) -> frozenset:
-        return _pairs_of_rows(self.rows, self.stray)
+        return _pairs_of_rows(self.rows)
 
 
 @lru_cache(maxsize=None)
@@ -156,9 +146,6 @@ def _gather(xi: MonotoneMap, rows: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _check_interpolative(n: int, pairs: frozenset) -> None:
-    for (a, b) in pairs:
-        if not (0 <= a <= n and 0 <= b <= n):
-            raise NotInterpolativeError(f"pair {(a, b)} outside [{n}] x [{n}]")
     for v in range(n + 1):
         if (v, v) not in pairs:
             raise NotInterpolativeError(f"not reflexive: missing {(v, v)}")
@@ -194,9 +181,7 @@ def relation_to_lax(rel: InterpolativeRelation) -> LaxMatrix:
 def relation_pullback(xi: MonotoneMap, rel: InterpolativeRelation) -> InterpolativeRelation:
     if xi.codomain_top != rel.n:
         raise ShapeMismatchError("pullback endpoints do not match")
-    return tuple.__new__(
-        InterpolativeRelation, (xi.domain_top, _gather(xi, rel.rows), _NO_STRAYS)
-    )
+    return tuple.__new__(InterpolativeRelation, (xi.domain_top, _gather(xi, rel.rows)))
 
 
 # -- square ideals ---------------------------------------------------------
@@ -218,14 +203,6 @@ def _is_ideal(pairs: Iterable[tuple[int, int]], m_top: int, n_top: int) -> bool:
 def identity_ideal(n: int) -> IdealRelation:
     return IdealRelation(
         n, n, frozenset((j, i) for i in range(n + 1) for j in range(i + 1))
-    )
-
-
-def full_ideal(m_top: int, n_top: int) -> IdealRelation:
-    return IdealRelation(
-        m_top,
-        n_top,
-        frozenset(product(range(n_top + 1), range(m_top + 1))),
     )
 
 
@@ -269,21 +246,13 @@ def compose_ideals(a: IdealRelation, b: IdealRelation) -> IdealRelation:
             acc |= b_rows[low.bit_length() - 1]
             r ^= low
         rows.append(acc)
-    # stray pairs still compose, through a middle index outside [a.m_top]
-    for (j, k) in a.stray:
-        if 0 <= j <= a.n_top:
-            for (k2, i) in b.stray:
-                if k2 == k and 0 <= i <= b.m_top:
-                    rows[j] |= 1 << i
-    return tuple.__new__(IdealRelation, (b.m_top, a.n_top, tuple(rows), _NO_STRAYS))
+    return tuple.__new__(IdealRelation, (b.m_top, a.n_top, tuple(rows)))
 
 
 def ideal_leq(a: IdealRelation, b: IdealRelation) -> bool:
     if (a.m_top, a.n_top) != (b.m_top, b.n_top):
         raise ShapeMismatchError("cannot compare ideals of different shapes")
-    return a.stray <= b.stray and all(
-        x & ~y == 0 for x, y in zip(a.rows, b.rows)
-    )
+    return all(x & ~y == 0 for x, y in zip(a.rows, b.rows))
 
 
 def adjoint_ideals(xi: MonotoneMap) -> tuple[IdealRelation, IdealRelation]:
@@ -316,7 +285,7 @@ def ideal_pullback(xi: MonotoneMap, b: IdealRelation) -> IdealRelation:
     if b.m_top != b.n_top or xi.codomain_top != b.n_top:
         raise ShapeMismatchError("pullback needs a square ideal at the map's target")
     m = xi.domain_top
-    return tuple.__new__(IdealRelation, (m, m, _gather(xi, b.rows), _NO_STRAYS))
+    return tuple.__new__(IdealRelation, (m, m, _gather(xi, b.rows)))
 
 
 def enumerate_square_ideals(n: int) -> tuple[IdealRelation, ...]:

@@ -25,7 +25,6 @@ from .errors import LevelOutOfRangeError
 __all__ = [
     "ballot",
     "ballot_to_word",
-    "word_to_ballot",
     "matrix_to_word",
     "rotation_covers",
     "upward_closure",
@@ -59,17 +58,6 @@ def ballot_to_word(r: tuple[int, ...]) -> str:
         parts.append("U" * (r[t] - r[t - 1]))
         parts.append("D")
     return "".join(parts)
-
-
-def word_to_ballot(word: str) -> tuple[int, ...]:
-    heights = []
-    h = 0
-    for ch in word:
-        if ch == "U":
-            h += 1
-        else:
-            heights.append(h)
-    return tuple(v - 1 for v in heights)
 
 
 def matrix_to_word(x: LaxMatrix) -> str:

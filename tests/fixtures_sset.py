@@ -63,8 +63,6 @@ class TableSimplicialSet(TruncatedSimplicialSet):
         return self.levels[n]
 
     def act(self, xi: MonotoneMap, x: Code) -> Code:
-        if xi.is_identity:
-            return x
         degs, face_parts = delta.epi_mono_indices(xi)
         # contravariant: the outermost generator acts first
         for i, lvl in reversed(face_parts):

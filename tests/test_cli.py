@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -20,6 +21,7 @@ from catalan_sset.catalan import (
 from catalan_sset.classify import ClassificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 # the benchmark's pinned stdout digests; read here, never written
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text(encoding="utf-8")
@@ -211,9 +213,12 @@ def test_verify_monads(capsys):
 
 
 def test_missing_input_file_is_usage_error(capsys):
-    code, _, err = run(capsys, "verify-theorem", "--input", "does-not-exist")
-    assert code == 2
-    assert "error" in err
+    # only a bare name or a name under suite/ falls back to the bundled suite,
+    # so a mistyped path ending in a suite name is still an error
+    for path in ("does-not-exist", "/nonexistent/dir/or2.json", "no/such/chain3-max"):
+        code, out, err = run(capsys, "verify-theorem", "--input", path)
+        assert (code, out) == (2, ""), path
+        assert err.startswith("error: ") and path in err, err
 
 
 def test_order_probe(capsys):
@@ -273,8 +278,20 @@ def test_failing_verdict_exits_one(capsys, monkeypatch):
         '{"elements": "01", "leq": [["0", "0"], ["0", "1"], ["1", "1"]],'
         ' "tensor": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"}, "unit": "0"}',
         "[" * 100000 + "]" * 100000,
+        '{"elements": ["0", "1"], "leq": [["0", "0"], ["0", "1"], ["1", "1"]],'
+        ' "tensor": {"0,0": "0", "0,1": 1, "1,0": "1", "1,1": "1"}, "unit": "0"}',
+        '{"objects": ["*"], "cells": [{"from": "*", "to": "*", "name": 0},'
+        ' {"from": "*", "to": "*", "name": "1"}],'
+        ' "leq": [["0", "0"], ["0", "1"], ["1", "1"]],'
+        ' "compose": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"},'
+        ' "identities": {"*": "0"}, "obj_tensor": {"*,*": "*"},'
+        ' "cell_tensor": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"},'
+        ' "unit_object": "*"}',
     ],
-    ids=["not-json", "leq-not-pairs", "elements-a-string", "nested-too-deep"],
+    ids=[
+        "not-json", "leq-not-pairs", "elements-a-string", "nested-too-deep",
+        "tensor-value-a-number", "cell-name-a-number",
+    ],
 )
 def test_bad_input_file_exits_two_without_traceback(tmp_path, text):
     target = tmp_path / "bad.json"
@@ -330,3 +347,21 @@ def test_levels_above_the_held_bound_exit_two_at_once(argv, ceiling):
     level = next(argv[k + 1] for k, a in enumerate(argv) if a in ("--n", "--max-n"))
     assert f"level {level} outside 0..{ceiling}" in proc.stderr
     assert proc.stdout == ""
+
+
+def _readme_block(heading: str) -> str:
+    """The body of the first fenced block under ``## heading`` in the README."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    """The quick tour runs as written, and every command line exits 0."""
+    exec(_readme_block("Library quick tour"), {})
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("Command line").splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines]
+    assert ["catalan-sset", "verify-theorem", "--input", "suite/or2.json"] in argvs
+    for prog, *argv in argvs:
+        assert prog == "catalan-sset"
+        assert run(capsys, *argv)[0] == 0, argv

@@ -15,7 +15,7 @@ from catalan_sset.errors import (
 
 def test_identity_map():
     assert MonotoneMap(1, 1, (0, 1)) == delta.identity(1)
-    assert delta.identity(3).is_identity
+    assert delta.identity(3) == MonotoneMap(3, 3, (0, 1, 2, 3))
 
 
 def test_face_zero_on_one():

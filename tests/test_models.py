@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +17,6 @@ from catalan_sset.models import (
     adjoint_ideals,
     compose_ideals,
     enumerate_square_ideals,
-    full_ideal,
     ideal_leq,
     ideal_pullback,
     ideal_to_lax,
@@ -82,7 +83,7 @@ def test_marked_edge_gives_identity_ideal():
 
 
 def test_zero_edge_gives_full_ideal():
-    assert lax_to_ideal(ZERO1) == full_ideal(1, 1)
+    assert lax_to_ideal(ZERO1) == IdealRelation(1, 1, {(0, 0), (0, 1), (1, 0), (1, 1)})
 
 
 def test_ideal_round_trips():
@@ -295,20 +296,39 @@ _pair_sets = st.frozensets(
 )
 
 
+def _on_grid(pairs, row_top, col_top):
+    return frozenset(
+        (a, b) for (a, b) in pairs if 0 <= a <= row_top and 0 <= b <= col_top
+    )
+
+
 @given(st.integers(0, 3), st.integers(0, 3), _pair_sets)
 def test_constructors_keep_every_pair(m, n, pairs):
-    assert IdealRelation(m, n, pairs).pairs == pairs
-    assert InterpolativeRelation(n, pairs).pairs == pairs
-    assert IdealRelation(m, n, set(pairs)) == IdealRelation(m, n, pairs)
+    if pairs == _on_grid(pairs, n, m):
+        assert IdealRelation(m, n, pairs).pairs == pairs
+        assert IdealRelation(m, n, set(pairs)) == IdealRelation(m, n, pairs)
+    else:
+        with pytest.raises(NotAnIdealError):
+            IdealRelation(m, n, pairs)
+    if pairs == _on_grid(pairs, n, n):
+        assert InterpolativeRelation(n, pairs).pairs == pairs
+    else:
+        with pytest.raises(NotInterpolativeError):
+            InterpolativeRelation(n, pairs)
 
 
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2), _pair_sets, _pair_sets)
 def test_calculus_matches_the_pair_oracle_with_stray_pairs(m, k, n, a_pairs, b_pairs):
+    # the drawn sets reach off the grid; the constructors refuse such pairs,
+    # so each set is clipped to its grid first
+    a_pairs = _on_grid(a_pairs, n, k)
+    b_pairs = _on_grid(b_pairs, k, m)
     a = IdealRelation(k, n, a_pairs)
     b = IdealRelation(m, k, b_pairs)
     assert compose_ideals(a, b).pairs == _oracle_compose(a_pairs, b_pairs, n, m)
-    c = IdealRelation(k, n, b_pairs)
-    assert ideal_leq(a, c) == (a_pairs <= b_pairs)
+    c_pairs = _on_grid(b_pairs, n, k)
+    c = IdealRelation(k, n, c_pairs)
+    assert ideal_leq(a, c) == (a_pairs <= c_pairs)
 
 
 def test_valid_pair_sets_round_trip_through_the_constructors():
@@ -344,15 +364,10 @@ def test_pullbacks_equal_and_hash_like_the_converted_action():
 
 @pytest.mark.parametrize("stray", [(0, 5), (-1, 0), (5, 0), (0, -1)])
 def test_stray_pairs_are_kept_and_refused(stray):
-    diag = {(0, 0), (1, 1)}
-    rel = InterpolativeRelation(1, diag | {stray})
-    assert stray in rel.pairs
-    assert rel != InterpolativeRelation(1, diag)
-    with pytest.raises(NotInterpolativeError):
-        relation_to_lax(rel)
-    ideal = IdealRelation(1, 1, identity_ideal(1).pairs | {stray})
-    assert stray in ideal.pairs
-    assert ideal != identity_ideal(1)
-    with pytest.raises(NotAnIdealError):
-        ideal_to_lax(ideal)
+    """A pair off the grid is kept out of every relation: building one with
+    it raises the error its conversion to a table would raise."""
+    with pytest.raises(NotInterpolativeError, match=re.escape(f"pair {stray} outside")):
+        InterpolativeRelation(1, {(0, 0), (1, 1), stray})
+    with pytest.raises(NotAnIdealError, match=re.escape(f"pair {stray} outside")):
+        IdealRelation(1, 1, identity_ideal(1).pairs | {stray})
 

@@ -6,7 +6,6 @@ from catalan_sset import delta
 from catalan_sset.catalan import act, catalan_number, enumerate_level, lax_from_bits
 from catalan_sset.tamari import (
     ballot,
-    ballot_to_word,
     dyck_count,
     dyck_crosscheck,
     dyck_words,
@@ -15,7 +14,6 @@ from catalan_sset.tamari import (
     order_probe,
     rotation_covers,
     upward_closure,
-    word_to_ballot,
 )
 
 
@@ -101,13 +99,6 @@ def test_ballot_examples():
     assert ballot(lax_from_bits(1, (1,))) == (0, 1)
     assert ballot(lax_from_bits(1, (0,))) == (1, 1)
     assert ballot(lax_from_bits(2, (1, 0, 1))) == (0, 2, 2)
-
-
-def test_word_round_trip_through_ballot():
-    for n in range(5):
-        for x in enumerate_level(n):
-            w = matrix_to_word(x)
-            assert ballot_to_word(word_to_ballot(w)) == w
 
 
 def test_encoding_is_a_bijection_onto_words():
