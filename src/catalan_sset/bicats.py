@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple
 
-from .errors import NotCommutativeError
+from .errors import InvalidInputError, NotCommutativeError
 from .posets import MonoidalPoset, ValidationReport, require_valid, validate_monoidal_poset
 
 __all__ = [
@@ -284,7 +284,7 @@ def suspend(m: MonoidalPoset) -> PosetalMonoidalBicat:
     obj = "*"
     cells = tuple(Cell(e, obj, obj) for e in m.elements)
     table = {(a, b): m.tensor[(a, b)] for a in m.elements for b in m.elements}
-    b = PosetalMonoidalBicat(
+    return PosetalMonoidalBicat(
         objects=(obj,),
         cells=cells,
         leq=frozenset(m.leq),
@@ -294,8 +294,6 @@ def suspend(m: MonoidalPoset) -> PosetalMonoidalBicat:
         cell_tensor=dict(table),
         unit_object=obj,
     )
-    require_valid(validate_monoidal_bicat(b))
-    return b
 
 
 def embed(m: MonoidalPoset) -> PosetalMonoidalBicat:
@@ -306,6 +304,10 @@ def embed(m: MonoidalPoset) -> PosetalMonoidalBicat:
         return f"{a}->{b}"
 
     cells = tuple(Cell(cell_name(a, b), a, b) for (a, b) in sorted(m.leq))
+    # the laws of the result follow from the poset's, which are checked above;
+    # only the names can clash, as with elements a, c, a->b, b->c
+    if len({c.name for c in cells}) != len(cells):
+        raise InvalidInputError("element names with '->' give two cells one name")
     cell_tensor = {}
     for (a, b) in m.leq:
         for (c, d) in m.leq:
@@ -317,7 +319,7 @@ def embed(m: MonoidalPoset) -> PosetalMonoidalBicat:
         for (b2, c) in m.leq:
             if b == b2:
                 compose[(cell_name(b, c), cell_name(a, b))] = cell_name(a, c)
-    b = PosetalMonoidalBicat(
+    return PosetalMonoidalBicat(
         objects=tuple(m.elements),
         cells=cells,
         leq=frozenset((c.name, c.name) for c in cells),
@@ -327,5 +329,3 @@ def embed(m: MonoidalPoset) -> PosetalMonoidalBicat:
         cell_tensor=cell_tensor,
         unit_object=m.unit,
     )
-    require_valid(validate_monoidal_bicat(b))
-    return b

@@ -96,9 +96,11 @@ class LaxMatrix(NamedTuple):
 
 def lax_from_bits(n: int, bits: Iterable[int]) -> LaxMatrix:
     """Build a simplex from bits in canonical interval order, checking closure."""
+    if n < 0:
+        raise InvalidInputError(f"level must be >= 0, got {n}")
     seq = tuple(int(b) for b in bits)
     count = n * (n + 1) // 2
-    if n < 0 or len(seq) != count:
+    if len(seq) != count:
         raise InvalidInputError(f"level {n} needs {count} bits, got {len(seq)}")
     if any(b not in (0, 1) for b in seq):
         raise InvalidInputError("entries must be 0 or 1")

@@ -25,7 +25,6 @@ __all__ = [
     "catalogue",
     "named",
     "face_label",
-    "resolve_face",
     "verify_catalogue",
 ]
 
@@ -101,11 +100,6 @@ def _resolve(ref: FaceRef, env: dict[str, LaxMatrix]) -> LaxMatrix:
     for i in reversed(degs):
         x = act(delta.degeneracy(i, x.n), x)
     return x
-
-
-def resolve_face(ref: FaceRef) -> LaxMatrix:
-    """The simplex a face reference denotes."""
-    return _resolve(ref, _matrices())
 
 
 @lru_cache(maxsize=None)

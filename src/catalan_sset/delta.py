@@ -1,9 +1,8 @@
 """Order-preserving maps between the finite ordinals [n] = {0, ..., n}.
 
-Every such map factors as a run of collapsing surjections sigma_i (which
-repeat the value i) followed by a run of injections delta_i (which skip the
-value i); these generators induce all face and degeneracy actions used in
-the rest of the package.
+The generators are the injections delta_i (which skip the value i) and the
+surjections sigma_i (which repeat the value i); they induce the face and
+degeneracy actions used in the rest of the package.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "degeneracy",
     "compose",
     "all_maps",
-    "epi_mono_indices",
 ]
 
 
@@ -107,36 +105,3 @@ def all_maps(m: int, n: int) -> Iterator[MonotoneMap]:
     """Every monotone map [m] -> [n], in lexicographic order of value tuples."""
     for values in combinations_with_replacement(range(n + 1), m + 1):
         yield MonotoneMap(m, n, values)
-
-
-def epi_mono_indices(
-    xi: MonotoneMap,
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Generator indices factoring xi, as (degeneracies, faces) in application order.
-
-    Each entry is a pair (i, level) naming sigma_i : [level+1] -> [level] or
-    delta_i : [level] -> [level+1].  Applying all degeneracies first and then
-    all faces reproduces xi.
-    """
-    values = list(xi.values)
-    level = xi.domain_top
-    degs: list[tuple[int, int]] = []
-    while True:
-        dup = next(
-            (p for p in range(len(values) - 1) if values[p] == values[p + 1]), None
-        )
-        if dup is None:
-            break
-        degs.append((dup, level - 1))
-        del values[dup]
-        level -= 1
-    # values is now strictly increasing; insert the missing codomain values,
-    # peeling from the largest gap so earlier indices stay stable
-    faces_rev: list[tuple[int, int]] = []
-    top = xi.codomain_top
-    while len(values) - 1 < top:
-        gap = max(v for v in range(top + 1) if v not in values)
-        faces_rev.append((gap, top))
-        values = [v if v < gap else v - 1 for v in values]
-        top -= 1
-    return tuple(degs), tuple(reversed(faces_rev))

@@ -327,13 +327,6 @@ class TruncatedMap:
             return self.images[(n, x)]
         return self.target.degeneracy(i, n - 1, self(n - 1, self.source.face(i, n, x)))
 
-    def full_table(self) -> dict:
-        return {
-            (n, x): self(n, x)
-            for n in range(self.r + 1)
-            for x in self.source.level(n)
-        }
-
     def __repr__(self):
         parts = ", ".join(
             f"{x!r}|->{y!r}" for (_, x), y in sorted(self.images.items(), key=lambda kv: (kv[0][0], repr(kv[0][1])))

@@ -28,7 +28,6 @@ __all__ = [
     "matrix_to_word",
     "rotation_covers",
     "upward_closure",
-    "dyck_words",
     "dyck_count",
     "dyck_crosscheck",
     "inclusion_leq",
@@ -97,33 +96,17 @@ def upward_closure(words) -> dict[str, frozenset]:
     return ups
 
 
-def dyck_words(semilength: int) -> list[str]:
-    """All balanced words, by direct backtracking over prefixes ('U' first)."""
-    out: list[str] = []
-    stack = [("", 0, 0)]
-    while stack:
-        word, ups, downs = stack.pop()
-        if downs == semilength:
-            out.append(word)
-            continue
-        # pushed last, popped first: the 'U' branch is walked before the 'D' one
-        if downs < ups:
-            stack.append((word + "D", ups, downs + 1))
-        if ups < semilength:
-            stack.append((word + "U", ups + 1, downs))
-    return out
-
-
 def dyck_count(semilength: int) -> int:
-    """The number of leaves of the ``dyck_words`` walk, without the words.
+    """The number of balanced words of the given semilength, building none.
 
-    The walk splits at the midpoint of the word.  Its prefixes of length
-    ``semilength`` are walked on an explicit stack.  How a word goes on
-    depends only on the state (ups, downs) its prefix reaches, so the
-    completions of each reached state are walked once, in a dict local to
-    the call, and each prefix adds its state's count.  Every completion
-    ends at (semilength, semilength), so a leaf is one completion of one
-    prefix, and no word is built.
+    The words are the leaves of a walk that grows a prefix one letter at a
+    time, never going below height 0.  The walk splits at the midpoint of
+    the word.  Its prefixes of length ``semilength`` are walked on an
+    explicit stack.  How a word goes on depends only on the state
+    (ups, downs) its prefix reaches, so the completions of each reached
+    state are walked once, in a dict local to the call, and each prefix
+    adds its state's count.  Every completion ends at
+    (semilength, semilength), so a leaf is one completion of one prefix.
     """
 
     def walk(ups, downs, stop):

@@ -1,13 +1,13 @@
 """Hand-built truncated simplicial sets for the tests: the terminal one,
 and one given by explicit tables that a test can corrupt for fault
-injection; and the nerves of every bundled suite input.  Imported by the
-test modules; pytest does not collect it."""
+injection, with the epi-mono factorisation it acts through; and the nerves
+of every bundled suite input.  Imported by the test modules; pytest does
+not collect it."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from catalan_sset import delta
 from catalan_sset.bicats import PosetalMonoidalBicat, embed
 from catalan_sset.delta import MonotoneMap
 from catalan_sset.inputs import load_suite, suite_names
@@ -23,6 +23,39 @@ class PointSimplicialSet(TruncatedSimplicialSet):
 
     def act(self, xi: MonotoneMap, x: Code) -> Code:
         return "pt"
+
+
+def epi_mono_indices(
+    xi: MonotoneMap,
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """Generator indices factoring xi, as (degeneracies, faces) in application order.
+
+    Each entry is a pair (i, level) naming sigma_i : [level+1] -> [level] or
+    delta_i : [level] -> [level+1].  Applying all degeneracies first and then
+    all faces reproduces xi.
+    """
+    values = list(xi.values)
+    level = xi.domain_top
+    degs: list[tuple[int, int]] = []
+    while True:
+        dup = next(
+            (p for p in range(len(values) - 1) if values[p] == values[p + 1]), None
+        )
+        if dup is None:
+            break
+        degs.append((dup, level - 1))
+        del values[dup]
+        level -= 1
+    # values is now strictly increasing; insert the missing codomain values,
+    # peeling from the largest gap so earlier indices stay stable
+    faces_rev: list[tuple[int, int]] = []
+    top = xi.codomain_top
+    while len(values) - 1 < top:
+        gap = max(v for v in range(top + 1) if v not in values)
+        faces_rev.append((gap, top))
+        values = [v if v < gap else v - 1 for v in values]
+        top -= 1
+    return tuple(degs), tuple(reversed(faces_rev))
 
 
 class TableSimplicialSet(TruncatedSimplicialSet):
@@ -63,7 +96,7 @@ class TableSimplicialSet(TruncatedSimplicialSet):
         return self.levels[n]
 
     def act(self, xi: MonotoneMap, x: Code) -> Code:
-        degs, face_parts = delta.epi_mono_indices(xi)
+        degs, face_parts = epi_mono_indices(xi)
         # contravariant: the outermost generator acts first
         for i, lvl in reversed(face_parts):
             x = self.faces[(i, lvl, x)]

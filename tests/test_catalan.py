@@ -192,6 +192,13 @@ def test_lax_from_bits_rejects_closure_violations():
         lax_from_bits(2, (1, 1))
 
 
+def test_lax_from_bits_rejects_a_negative_level():
+    # checked before the bits are counted: level -2 would "need" 1 bit
+    for n, bits in [(-1, ()), (-2, (1,))]:
+        with pytest.raises(InvalidInputError, match=f"^level must be >= 0, got {n}$"):
+            lax_from_bits(n, bits)
+
+
 def test_act_degeneracy_on_edge():
     # s_1 of the marked edge has bits (x01, x12, x02) = (1, 0, 1)
     assert act(delta.degeneracy(1, 1), C) == lax_from_bits(2, (1, 0, 1))

@@ -11,6 +11,7 @@ from catalan_sset.errors import (
     NonMonotoneError,
     OutOfRangeError,
 )
+from fixtures_sset import epi_mono_indices
 
 
 def test_identity_map():
@@ -101,7 +102,7 @@ def test_epi_mono_factorisation_recomposes_everywhere():
     for m in range(6):
         for n in range(6):
             for xi in delta.all_maps(m, n):
-                degs, faces = delta.epi_mono_indices(xi)
+                degs, faces = epi_mono_indices(xi)
                 parts = [delta.degeneracy(i, lvl) for i, lvl in degs]
                 parts += [delta.face(i, lvl) for i, lvl in faces]
                 composite = delta.identity(m)

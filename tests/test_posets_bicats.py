@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from catalan_sset.bicats import (
@@ -145,6 +147,78 @@ def test_monoidal_bicat_unit_fault_detected():
     )
     report = validate_monoidal_bicat(bad)
     assert not report.ok
+
+
+# -- every small monoidal poset ------------------------------------------------
+
+
+def _partial_orders(k):
+    """Every partial order on 0..k-1, as a set of pairs (reflexive included)."""
+    off = [(a, b) for a in range(k) for b in range(k) if a != b]
+    for chosen in product((False, True), repeat=len(off)):
+        leq = {(a, a) for a in range(k)} | {p for p, c in zip(off, chosen) if c}
+        if any((b, a) in leq for (a, b) in leq if a != b):
+            continue
+        if all((a, c) in leq for (a, b) in leq for (b2, c) in leq if b == b2):
+            yield leq
+
+
+def _monoidal_posets(k):
+    """Every monoidal poset on the labels 0..k-1: each partial order, each
+    unit and each table unital for it, kept when it is associative and
+    monotone.  Built from the laws alone, not through the package."""
+    els = range(k)
+    for leq in _partial_orders(k):
+        for unit in els:
+            free = [(a, b) for a in els for b in els if unit not in (a, b)]
+            for values in product(els, repeat=len(free)):
+                t = dict(zip(free, values))
+                t.update({(unit, a): a for a in els})
+                t.update({(a, unit): a for a in els})
+                if any(t[(t[(a, b)], c)] != t[(a, t[(b, c)])]
+                       for a in els for b in els for c in els):
+                    continue
+                if any((t[(a, c)], t[(b, c)]) not in leq or (t[(c, a)], t[(c, b)]) not in leq
+                       for (a, b) in leq for c in els):
+                    continue
+                yield MonoidalPoset(
+                    elements=tuple(str(a) for a in els),
+                    leq=frozenset((str(a), str(b)) for (a, b) in leq),
+                    tensor={(str(a), str(b)): str(v) for (a, b), v in t.items()},
+                    unit=str(unit),
+                )
+
+
+@pytest.mark.parametrize("k,count,commutative", [(1, 1, 1), (2, 8, 8), (3, 213, 159)])
+def test_every_small_monoidal_poset_embeds_and_suspends_validly(k, count, commutative):
+    """``embed`` and ``suspend`` do not validate what they build; on every
+    monoidal poset of size <= 3 the result is valid anyway."""
+    posets = list(_monoidal_posets(k))
+    assert len(posets) == count
+    assert sum(m.is_commutative() for m in posets) == commutative
+    for m in posets:
+        assert validate_monoidal_poset(m).ok
+        assert validate_monoidal_bicat(embed(m)).ok
+        if m.is_commutative():
+            assert validate_monoidal_bicat(suspend(m)).ok
+
+
+def test_embed_refuses_element_names_that_give_two_cells_one_name():
+    # a <= b->c and a->b <= c both become a cell named "a->b->c"
+    els = ("a", "c", "a->b", "b->c")
+    tensor = {(x, y): "c" for x in els for y in els}
+    tensor.update({("a", x): x for x in els})
+    tensor.update({(x, "a"): x for x in els})
+    tensor[("b->c", "b->c")] = "b->c"
+    m = MonoidalPoset(
+        elements=els,
+        leq=frozenset({(x, x) for x in els} | {("a", "b->c"), ("a->b", "c")}),
+        tensor=tensor,
+        unit="a",
+    )
+    assert validate_monoidal_poset(m).ok
+    with pytest.raises(InvalidInputError, match="give two cells one name"):
+        embed(m)
 
 
 # -- JSON parsing --------------------------------------------------------------

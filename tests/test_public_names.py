@@ -1,5 +1,6 @@
 """Every name the benchmark's job script takes from the package still exists,
-and the package's lazily resolved names are the ones it always exported.
+the package's lazily resolved names are the ones it always exported, and
+every name a module exports is read by the package or the job.
 
 ``bench/job.py`` lies outside the default test paths, so a deletion in the
 package that breaks it would otherwise pass the suite.  The script is read
@@ -143,6 +144,33 @@ def test_every_package_name_is_its_defining_modules_attribute():
     assert set(namespace) - {"__builtins__"} == set(defined_in)
     with pytest.raises(AttributeError):
         catalan_sset.no_such_name
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name a file reads: each ``Name``, ``Attribute`` and import alias."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_every_exported_name_is_read_outside_the_tests():
+    """A module exports only what the package, a verb or the job reads: a
+    helper that only tests call belongs in ``tests/``."""
+    package = SRC / "catalan_sset"
+    read = _names_read(JOB).union(*map(_names_read, package.glob("*.py")))
+    unread = [
+        f"{info.name}.{name}"
+        for info in pkgutil.iter_modules(catalan_sset.__path__)
+        for name in getattr(importlib.import_module(f"catalan_sset.{info.name}"), "__all__", ())
+        if name not in read and name not in catalan_sset.__all__
+    ]
+    assert unread == []
 
 
 def _modules_after(argv: list[str]) -> set[str]:

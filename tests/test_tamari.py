@@ -1,5 +1,3 @@
-import gc
-
 import pytest
 
 from catalan_sset import delta
@@ -8,7 +6,6 @@ from catalan_sset.tamari import (
     ballot,
     dyck_count,
     dyck_crosscheck,
-    dyck_words,
     inclusion_leq,
     matrix_to_word,
     order_probe,
@@ -49,13 +46,8 @@ def test_path_count_equals_the_one_at_a_time_walk():
         assert dyck_count(s) == _dyck_count_one_at_a_time(s)
 
 
-def test_path_count_counts_the_words():
-    for s in range(12):
-        assert dyck_count(s) == len(dyck_words(s))
-
-
 def _recursive_dyck_words(semilength):
-    """Recursive backtracking over prefixes, 'U' tried first: the order oracle."""
+    """All balanced words, by recursive backtracking over prefixes ('U' first)."""
     out, word = [], []
 
     def rec(ups, downs):
@@ -75,19 +67,13 @@ def _recursive_dyck_words(semilength):
     return out
 
 
-def test_dyck_words_keep_the_recursive_order():
-    for s in range(9):
-        assert dyck_words(s) == _recursive_dyck_words(s)
-
-
-def test_dyck_words_leave_no_cyclic_garbage():
-    gc.collect()
-    dyck_words(8)
-    assert gc.collect() == 0
+def test_path_count_counts_the_words():
+    for s in range(12):
+        assert dyck_count(s) == len(_recursive_dyck_words(s))
 
 
 def test_words_are_balanced_with_prefix_property():
-    for w in dyck_words(5):
+    for w in _recursive_dyck_words(5):
         height = 0
         for ch in w:
             height += 1 if ch == "U" else -1
@@ -105,7 +91,7 @@ def test_encoding_is_a_bijection_onto_words():
     for n in range(6):
         words = {matrix_to_word(x) for x in enumerate_level(n)}
         assert len(words) == len(enumerate_level(n))
-        assert words == set(dyck_words(n + 1))
+        assert words == set(_recursive_dyck_words(n + 1))
 
 
 def test_rotation_cover_example():
@@ -115,13 +101,13 @@ def test_rotation_cover_example():
 
 def test_rotation_cover_count_semilength_three():
     # the order on 5 elements has 5 covering pairs
-    total = sum(len(rotation_covers(w)) for w in dyck_words(3))
+    total = sum(len(rotation_covers(w)) for w in _recursive_dyck_words(3))
     assert total == 5
 
 
 def test_rotation_order_has_bottom_and_top():
     for s in (2, 3, 4):
-        words = dyck_words(s)
+        words = _recursive_dyck_words(s)
         ups = upward_closure(words)
         bottoms = [w for w in words if ups[w] == frozenset(words)]
         tops = [w for w in words if not rotation_covers(w)]
