@@ -21,6 +21,7 @@ from catalan_sset.inputs import load_suite, parse_document
 from catalan_sset.nerve import BicatNerve, MonoidalNerve
 from catalan_sset.posets import MonoidalPoset
 from catalan_sset.sset import enumerate_truncated_maps
+from fixtures_bicats import plain, probe
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +272,26 @@ def test_suspensions_that_need_every_census_inequality(make, monoidales, found):
     assert (remark.map_count, remark.structure_count) == (len(found),) * 2
     assert skew_monoidales(b) == monoidales
     assert monads(b) == [MonadStructure("*", t) for t in found]
+
+
+def test_theorem_on_the_probe():
+    """In the probe ``t.(t x 1A) = s`` is not below ``t.(1A x t) = t``, so the
+    associativity inequality alone refuses the multiplication ``t``."""
+    b = probe()
+    assert skew_monoidales(b) == [
+        SkewMonoidale("I", "1I", "1I"), SkewMonoidale("A", "1A", "e"), SkewMonoidale("A", "s", "e"),
+    ]
+    report = verify_theorem(b, input_name="probe")
+    assert report.ok, report.failures
+    assert (report.map_count, report.structure_count) == (3, 3)
+
+
+def test_monad_remark_on_the_probe():
+    k = plain(probe())
+    assert monads(k) == [MonadStructure("I", "1I"), MonadStructure("A", "1A"), MonadStructure("A", "s")]
+    report = verify_monad_remark(k, input_name="probe")
+    assert report.ok, report.failures
+    assert (report.map_count, report.structure_count) == (3, 3)
 
 
 # per kind: an input with two structures, its verdict and its census

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from catalan_sset.inputs import (
     suite_names,
 )
 from catalan_sset.posets import MonoidalPoset, validate_monoidal_poset
+from fixtures_bicats import perturbations, probe
 
 
 def or2():
@@ -147,6 +149,51 @@ def test_monoidal_bicat_unit_fault_detected():
     )
     report = validate_monoidal_bicat(bad)
     assert not report.ok
+
+
+# -- the probe and its single-entry perturbations ------------------------------
+
+
+# each law of a posetal monoidal 2-category, as the start of its message
+_LAW_MESSAGES = {
+    "composition associative": r"associativity fails at ",
+    "left unit": r"left unit law fails at ",
+    "right unit": r"right unit law fails at ",
+    "composition monotone": r"composition not monotone on ",
+    "hom order reflexive": r"hom order not reflexive at ",
+    "hom order antisymmetric": r"hom order not antisymmetric on ",
+    "hom order transitive": r"hom order not transitive: ",
+    "cell tensor associative": r"cell tensor not associative at ",
+    "cell tensor strictly unital": r"cell tensor not strictly unital at ",
+    "cell tensor monotone": r"cell tensor not monotone on ",
+    "tensor functorial": r"tensor not functorial on ",
+    "tensor of identities": r"tensor of identities at ",
+    "cell tensor endpoints": r"cell tensor \(.*\) has wrong endpoints$",
+}
+
+
+def test_the_probe_is_valid():
+    assert validate_monoidal_bicat(probe()).ok
+
+
+def test_every_law_rejects_a_perturbation_of_the_probe():
+    """Of the 166 single-entry perturbations of the probe, the validator
+    accepts exactly the three that are valid again, and every law's message
+    appears for at least one of the others: deleting any law check changes
+    this test's outcome."""
+    reports = [(label, validate_monoidal_bicat(b)) for label, b in perturbations(probe())]
+    assert len(reports) == 166
+    assert sorted(label for label, report in reports if report.ok) == [
+        ("compose", ("t", "t"), "t"),
+        ("leq", ("1A", "t"), "removed"),
+        ("leq", ("z", "1A"), "removed"),
+    ]
+    violations = [v for _, report in reports for v in report.violations]
+    missing = [
+        law for law, pattern in _LAW_MESSAGES.items()
+        if not any(re.match(pattern, v) for v in violations)
+    ]
+    assert missing == []
 
 
 # -- every small monoidal poset ------------------------------------------------
