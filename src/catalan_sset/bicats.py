@@ -10,10 +10,14 @@ can check every law exhaustively.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Mapping, NamedTuple
 
 from .errors import InvalidInputError, NotCommutativeError
-from .posets import MonoidalPoset, ValidationReport, require_valid, validate_monoidal_poset
+from .posets import (
+    MonoidalPoset, ValidationReport, _entries, _order_faults, require_valid,
+    validate_monoidal_poset,
+)
 
 __all__ = [
     "Cell",
@@ -95,80 +99,60 @@ class PosetalMonoidalBicat(PosetalBicat):
         return self.cell_tensor[(f, g)]
 
 
+def _monotone(bad: list[str], names, leq, table: Mapping, what: str) -> None:
+    """Report each f <= f2, g <= g2 with ``table[(f, g)]`` defined but not
+    below ``table[(f2, g2)]``, in the order of ``names``."""
+    pairs = [(f, g) for f in names for g in names if (f, g) in leq]
+    for f, f2 in pairs:
+        for g, g2 in pairs:
+            if (f, g) in table and (table[(f, g)], table[(f2, g2)]) not in leq:
+                bad.append(f"{what} not monotone on {f} <= {f2}, {g} <= {g2}")
+
+
 def validate_bicat(k: PosetalBicat) -> ValidationReport:
-    bad: list[str] = []
     objs = k.objects
     if len(set(objs)) != len(objs) or not objs:
         return ValidationReport("2-category", ("objects must be non-empty and distinct",))
+    bad: list[str] = []
     names = [c.name for c in k.cells]
-    if len(set(names)) != len(names):
+    nameset = set(names)
+    if len(nameset) != len(names):
         bad.append("cell names must be distinct")
     if any("," in n for n in names):
         bad.append("cell names must not contain commas")
-    nameset = set(names)
-    for c in k.cells:
-        if c.src not in objs or c.dst not in objs:
-            bad.append(f"cell {c.name} has unknown endpoints")
-    for (f, g) in k.leq:
+    bad += [f"cell {c.name} has unknown endpoints"
+            for c in k.cells if c.src not in objs or c.dst not in objs]
+    for f, g in sorted(k.leq):
         if f not in nameset or g not in nameset:
             bad.append(f"leq pair ({f}, {g}) mentions unknown cells")
         elif (k.src(f), k.dst(f)) != (k.src(g), k.dst(g)):
             bad.append(f"leq pair ({f}, {g}) compares non-parallel cells")
-    for f in names:
-        if (f, f) not in k.leq:
-            bad.append(f"hom order not reflexive at {f}")
-    for (f, g) in k.leq:
-        if f != g and (g, f) in k.leq:
-            bad.append(f"hom order not antisymmetric on {f}, {g}")
-        for h in nameset:
-            if (g, h) in k.leq and (f, h) not in k.leq:
-                bad.append(f"hom order not transitive: {f} <= {g} <= {h}")
-    for x in objs:
-        if x not in k.identities or k.identities[x] not in nameset:
+    bad += _order_faults(names, k.leq, "hom order", "{0} <= {1} <= {2}")
+    for x, e in _entries(bad, k.identities, objs, "missing identity cell for {0}", "identities"):
+        if e not in nameset:
             bad.append(f"missing identity cell for {x}")
-        else:
-            e = k.identities[x]
-            if (k.src(e), k.dst(e)) != (x, x):
-                bad.append(f"identity of {x} is not an endo-cell")
+        elif (k.src(e), k.dst(e)) != (x, x):
+            bad.append(f"identity of {x} is not an endo-cell")
     if bad:
         return ValidationReport("2-category", tuple(bad))
-    # composition: totality, endpoints, units, associativity, monotonicity
-    for g in names:
-        for f in names:
-            if k.dst(f) != k.src(g):
-                continue
-            if (g, f) not in k.compose:
-                bad.append(f"composite {g} . {f} undefined")
-                continue
-            h = k.compose[(g, f)]
-            if h not in nameset or (k.src(h), k.dst(h)) != (k.src(f), k.dst(g)):
-                bad.append(f"composite {g} . {f} = {h} has wrong endpoints")
+    composable = [(g, f) for g in names for f in names if k.dst(f) == k.src(g)]
+    for (g, f), h in _entries(
+        bad, k.compose, composable, "composite {0[0]} . {0[1]} undefined", "compose"
+    ):
+        if h not in nameset or (k.src(h), k.dst(h)) != (k.src(f), k.dst(g)):
+            bad.append(f"composite {g} . {f} = {h} has wrong endpoints")
     if bad:
         return ValidationReport("2-category", tuple(bad))
+    c, one = k.compose, k.identities
     for f in names:
-        if k.compose_cells(f, k.identity_of(k.src(f))) != f:
+        if c[(f, one[k.src(f)])] != f:
             bad.append(f"right unit law fails at {f}")
-        if k.compose_cells(k.identity_of(k.dst(f)), f) != f:
+        if c[(one[k.dst(f)], f)] != f:
             bad.append(f"left unit law fails at {f}")
-    for f in names:
-        for g in names:
-            if k.dst(f) != k.src(g):
-                continue
-            for h in names:
-                if k.dst(g) != k.src(h):
-                    continue
-                if k.compose_cells(h, k.compose_cells(g, f)) != k.compose_cells(
-                    k.compose_cells(h, g), f
-                ):
-                    bad.append(f"associativity fails at {h} . {g} . {f}")
-    for (f, f2) in k.leq:
-        for (g, g2) in k.leq:
-            if k.dst(f) != k.src(g):
-                continue
-            if (k.compose_cells(g, f), k.compose_cells(g2, f2)) not in k.leq:
-                bad.append(
-                    f"composition not monotone on {f} <= {f2}, {g} <= {g2}"
-                )
+    bad += [f"associativity fails at {h} . {g} . {f}"
+            for f in names for g in names if (g, f) in c
+            for h in names if (h, g) in c and c[(h, c[(g, f)])] != c[(c[(h, g)], f)]]
+    _monotone(bad, names, k.leq, {(f, g): h for (g, f), h in c.items()}, "composition")
     return ValidationReport("2-category", tuple(bad))
 
 
@@ -177,96 +161,46 @@ def validate_monoidal_bicat(b: PosetalMonoidalBicat) -> ValidationReport:
     if not base.ok:
         return ValidationReport("monoidal 2-category", base.violations)
     bad: list[str] = []
-    objs = b.objects
-    names = [c.name for c in b.cells]
+    objs, names = b.objects, [c.name for c in b.cells]
+    nameset = set(names)
     if b.unit_object not in objs:
         bad.append(f"unit object {b.unit_object} unknown")
-    for x in objs:
-        for y in objs:
-            if (x, y) not in b.obj_tensor or b.obj_tensor[(x, y)] not in objs:
-                bad.append(f"object tensor undefined or out of range on ({x}, {y})")
-    for f in names:
-        for g in names:
-            if (f, g) not in b.cell_tensor:
-                bad.append(f"cell tensor undefined on ({f}, {g})")
+    undefined = "object tensor undefined or out of range on ({0[0]}, {0[1]})"
+    for key, z in _entries(bad, b.obj_tensor, product(objs, objs), undefined, "obj_tensor"):
+        if z not in objs:
+            bad.append(undefined.format(key))
+    entries = list(_entries(
+        bad, b.cell_tensor, product(names, names), "cell tensor undefined on ({0[0]}, {0[1]})",
+        "cell_tensor",
+    ))
     if bad:
         return ValidationReport("monoidal 2-category", tuple(bad))
-    nameset = set(names)
-    for f in names:
-        for g in names:
-            h = b.cell_tensor[(f, g)]
-            if h not in nameset:
-                bad.append(f"cell tensor ({f}, {g}) = {h} unknown")
-                continue
-            want_src = b.obj_tensor[(b.src(f), b.src(g))]
-            want_dst = b.obj_tensor[(b.dst(f), b.dst(g))]
-            if (b.src(h), b.dst(h)) != (want_src, want_dst):
-                bad.append(f"cell tensor ({f}, {g}) has wrong endpoints")
+    for (f, g), h in entries:
+        if h not in nameset:
+            bad.append(f"cell tensor ({f}, {g}) = {h} unknown")
+        elif (b.src(h), b.dst(h)) != (
+            b.obj_tensor[(b.src(f), b.src(g))], b.obj_tensor[(b.dst(f), b.dst(g))]
+        ):
+            bad.append(f"cell tensor ({f}, {g}) has wrong endpoints")
     if bad:
         return ValidationReport("monoidal 2-category", tuple(bad))
-    i = b.unit_object
-    for x in objs:
-        if b.obj_tensor[(i, x)] != x or b.obj_tensor[(x, i)] != x:
-            bad.append(f"object tensor not strictly unital at {x}")
-        for y in objs:
-            for z in objs:
-                if b.obj_tensor[(b.obj_tensor[(x, y)], z)] != b.obj_tensor[
-                    (x, b.obj_tensor[(y, z)])
-                ]:
-                    bad.append(f"object tensor not associative at ({x}, {y}, {z})")
-    idi = b.identities[i]
-    for f in names:
-        if b.cell_tensor[(f, idi)] != f or b.cell_tensor[(idi, f)] != f:
-            bad.append(f"cell tensor not strictly unital at {f}")
-    for x in objs:
-        for y in objs:
-            if b.cell_tensor[(b.identities[x], b.identities[y])] != b.identities[
-                b.obj_tensor[(x, y)]
-            ]:
-                bad.append(f"tensor of identities at ({x}, {y}) is not an identity")
-    for f in names:
-        for g in names:
-            for h in names:
-                if b.cell_tensor[(b.cell_tensor[(f, g)], h)] != b.cell_tensor[
-                    (f, b.cell_tensor[(g, h)])
-                ]:
-                    bad.append(f"cell tensor not associative at ({f}, {g}, {h})")
-    # functoriality (interchange included): (f2.f1) x (g2.g1) = (f2 x g2).(f1 x g1)
-    for f1 in names:
-        for f2 in names:
-            if b.dst(f1) != b.src(f2):
-                continue
-            for g1 in names:
-                for g2 in names:
-                    if b.dst(g1) != b.src(g2):
-                        continue
-                    lhs = b.cell_tensor[
-                        (b.compose_cells(f2, f1), b.compose_cells(g2, g1))
-                    ]
-                    rhs = b.compose_cells(
-                        b.cell_tensor[(f2, g2)], b.cell_tensor[(f1, g1)]
-                    )
-                    if lhs != rhs:
-                        bad.append(
-                            f"tensor not functorial on ({f2}.{f1}, {g2}.{g1})"
-                        )
-    # the interchange instance with identities, spelled out
-    for f in names:
-        for g in names:
-            a = b.compose_cells(
-                b.cell_tensor[(f, b.identities[b.dst(g)])],
-                b.cell_tensor[(b.identities[b.src(f)], g)],
-            )
-            c = b.compose_cells(
-                b.cell_tensor[(b.identities[b.dst(f)], g)],
-                b.cell_tensor[(f, b.identities[b.src(g)])],
-            )
-            if a != c:
-                bad.append(f"interchange fails on ({f}, {g})")
-    for (f, f2) in b.leq:
-        for (g, g2) in b.leq:
-            if (b.cell_tensor[(f, g)], b.cell_tensor[(f2, g2)]) not in b.leq:
-                bad.append(f"cell tensor not monotone on {f} <= {f2}, {g} <= {g2}")
+    # with the endpoints above, the object tensor's unit and associativity
+    # laws are the cell tensor's on identity cells, so they need no check
+    t, c, one = b.cell_tensor, b.compose, b.identities
+    idi = one[b.unit_object]
+    bad += [f"cell tensor not strictly unital at {f}"
+            for f in names if t[(f, idi)] != f or t[(idi, f)] != f]
+    bad += [f"tensor of identities at ({x}, {y}) is not an identity"
+            for x in objs for y in objs if t[(one[x], one[y])] != one[b.obj_tensor[(x, y)]]]
+    bad += [f"cell tensor not associative at ({f}, {g}, {h})"
+            for f, g in product(names, names) for h in names
+            if t[(t[(f, g)], h)] != t[(f, t[(g, h)])]]
+    # functoriality: (f2.f1) x (g2.g1) = (f2 x g2).(f1 x g1); interchange follows
+    composable = [(f1, f2) for f1 in names for f2 in names if (f2, f1) in c]
+    bad += [f"tensor not functorial on ({f2}.{f1}, {g2}.{g1})"
+            for f1, f2 in composable for g1, g2 in composable
+            if t[(c[(f2, f1)], c[(g2, g1)])] != c[(t[(f2, g2)], t[(f1, g1)])]]
+    _monotone(bad, names, b.leq, t, "cell tensor")
     return ValidationReport("monoidal 2-category", tuple(bad))
 
 

@@ -288,7 +288,9 @@ def test_theorem_on_the_probe():
 
 def test_monad_remark_on_the_probe():
     k = plain(probe())
-    assert monads(k) == [MonadStructure("I", "1I"), MonadStructure("A", "1A"), MonadStructure("A", "s")]
+    assert monads(k) == [
+        MonadStructure("I", "1I"), MonadStructure("A", "1A"), MonadStructure("A", "s"),
+    ]
     report = verify_monad_remark(k, input_name="probe")
     assert report.ok, report.failures
     assert (report.map_count, report.structure_count) == (3, 3)

@@ -349,6 +349,97 @@ def test_levels_above_the_held_bound_exit_two_at_once(argv, ceiling):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "name,table,key,value",
+    [
+        ("or2", "tensor", "0,ghost", "1"),
+        ("sigma-or2", "compose", "nosuch,cell", "0"),
+        ("sigma-or2", "identities", "ghost", "0"),
+        ("sigma-or2", "obj_tensor", "*,ghost", "*"),
+        ("sigma-or2", "cell_tensor", "0,nosuch", "1"),
+    ],
+    ids=["tensor", "compose", "identities", "obj_tensor", "cell_tensor"],
+)
+def test_a_table_entry_outside_its_domain_exits_two(capsys, tmp_path, name, table, key, value):
+    doc = json.loads(
+        (SRC / "catalan_sset" / "data" / "suite" / f"{name}.json").read_text(encoding="utf-8")
+    )
+    doc[table][key] = value
+    target = tmp_path / "stray.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify-theorem", "--input", str(target))
+    assert (code, out) == (2, "")
+    subject = "monoidal poset" if name == "or2" else "monoidal 2-category"
+    assert err == f"error: {subject}: INVALID (1): {table} key {key!r} is outside its domain\n"
+
+
+# Three inputs that each fail one law at several places, so that the first
+# message shows the order in which the validator visits the law: the poset
+# and the plain 2-category break antisymmetry twice over, and the monoidal
+# one has a tensor that is not monotone.
+_ENDO = ("1A", "a", "b")
+_UNORDERED = {
+    "poset.json": {
+        "elements": ["a", "b", "c", "d"],
+        "leq": [[x, x] for x in "abcd"] + [["a", "b"], ["b", "a"], ["c", "d"], ["d", "c"]],
+        "tensor": {f"{x},{y}": "a" for x in "abcd" for y in "abcd"},
+        "unit": "a",
+    },
+    "bicat.json": {
+        "objects": ["*"],
+        "cells": [{"from": "*", "to": "*", "name": x} for x in "abcd"],
+        "leq": [[x, x] for x in "abcd"] + [["a", "b"], ["b", "a"], ["c", "d"], ["d", "c"]],
+        "compose": {f"{x},{y}": y if x == "a" else x for x in "abcd" for y in "abcd"},
+        "identities": {"*": "a"},
+    },
+    # 1A <= a and b <= a; a and b are left zeros; the tensor sends
+    # (f, g) to phi(f), where phi fixes 1A and b and sends a to b
+    "monoidal.json": {
+        "objects": ["I", "A"],
+        "cells": [{"from": "I", "to": "I", "name": "1I"}]
+        + [{"from": "A", "to": "A", "name": f} for f in _ENDO],
+        "leq": [[f, f] for f in ("1I", *_ENDO)] + [["1A", "a"], ["b", "a"]],
+        "compose": {
+            "1I,1I": "1I",
+            **{f"{g},{f}": f if g == "1A" else g for g in _ENDO for f in _ENDO},
+        },
+        "identities": {"I": "1I", "A": "1A"},
+        "obj_tensor": {"I,I": "I", "I,A": "A", "A,I": "A", "A,A": "A"},
+        "cell_tensor": {
+            **{f"1I,{f}": f for f in ("1I", *_ENDO)},
+            **{f"{f},1I": f for f in _ENDO},
+            **{f"{f},{g}": "1A" if f == "1A" else "b" for f in _ENDO for g in _ENDO},
+        },
+        "unit_object": "I",
+    },
+}
+
+
+def test_validation_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    for file, doc in _UNORDERED.items():
+        (tmp_path / file).write_text(json.dumps(doc), encoding="utf-8")
+    script = (
+        "import sys\nfrom catalan_sset import cli\n"
+        "for file in sys.argv[1:]:\n"
+        "    print(cli.main(['verify-monads', '--input', file]), file=sys.stderr)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    errs = {
+        subprocess.run(
+            [sys.executable, "-c", script, *(str(tmp_path / f) for f in _UNORDERED)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+        ).stderr
+        for seed in range(4)
+    }
+    assert errs == {
+        "error: monoidal poset: INVALID (4): leq not antisymmetric on a, b\n2\n"
+        "error: 2-category: INVALID (4): hom order not antisymmetric on a, b\n2\n"
+        "error: monoidal 2-category: INVALID (5): "
+        "cell tensor not monotone on 1A <= a, 1A <= 1A\n2\n"
+    }
+
+
 def _readme_block(heading: str) -> str:
     """The body of the first fenced block under ``## heading`` in the README."""
     section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]

@@ -1,0 +1,152 @@
+"""Every law check of the validators, and the associativity inequality of the
+skew-monoidale census, is needed: cutting any one of them from a copy of the
+package makes the validator and classification tests fail.
+
+Each mutant is a (module, exact source snippet) pair; the snippet is cut
+from a fresh copy of ``src/`` and the two test modules run in a child
+process with that copy first on ``PYTHONPATH``.  A snippet that is no longer
+in its module fails the test, so the list cannot go stale silently.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TARGETS = ("tests/test_posets_bicats.py", "tests/test_classify.py")
+
+MUTANTS = {
+    "order reflexive": (
+        "posets.py",
+        '[f"{what} not reflexive at {a}" for a in names if (a, a) not in leq]\n        + ',
+    ),
+    "order antisymmetric": (
+        "posets.py",
+        '\n        + [f"{what} not antisymmetric on {a}, {b}" for a, b in pairs'
+        " if a != b and (b, a) in leq]",
+    ),
+    "order transitive": (
+        "posets.py",
+        '\n        + [f"{what} not transitive: " + transitive.format(a, b, c)\n'
+        "           for a, b in pairs for c in names if (b, c) in leq and (a, c) not in leq]",
+    ),
+    "poset unit law": (
+        "posets.py",
+        '    bad += [f"unit law fails at {a}" for a in els'
+        " if t[(m.unit, a)] != a or t[(a, m.unit)] != a]\n",
+    ),
+    "poset associativity": (
+        "posets.py",
+        '    bad += [f"associativity fails at ({a}, {b}, {c})"\n'
+        "            for a, b in grid for c in els if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]]\n",
+    ),
+    "poset tensor monotone on the left": (
+        "posets.py",
+        "            if (t[(a, c)], t[(b, c)]) not in m.leq:\n"
+        '                bad.append(f"tensor not monotone on the left: {a} <= {b}, with {c}")\n',
+    ),
+    "poset tensor monotone on the right": (
+        "posets.py",
+        "            if (t[(c, a)], t[(c, b)]) not in m.leq:\n"
+        '                bad.append(f"tensor not monotone on the right: {a} <= {b}, with {c}")\n',
+    ),
+    "composition right unit": (
+        "bicats.py",
+        "        if c[(f, one[k.src(f)])] != f:\n"
+        '            bad.append(f"right unit law fails at {f}")\n',
+    ),
+    "composition left unit": (
+        "bicats.py",
+        "        if c[(one[k.dst(f)], f)] != f:\n"
+        '            bad.append(f"left unit law fails at {f}")\n',
+    ),
+    "composition associative": (
+        "bicats.py",
+        '    bad += [f"associativity fails at {h} . {g} . {f}"\n'
+        "            for f in names for g in names if (g, f) in c\n"
+        "            for h in names if (h, g) in c and c[(h, c[(g, f)])] != c[(c[(h, g)], f)]]\n",
+    ),
+    "composition monotone": (
+        "bicats.py",
+        '    _monotone(bad, names, k.leq, {(f, g): h for (g, f), h in c.items()}, "composition")\n',
+    ),
+    "cell tensor endpoints": (
+        "bicats.py",
+        "        elif (b.src(h), b.dst(h)) != (\n"
+        "            b.obj_tensor[(b.src(f), b.src(g))], b.obj_tensor[(b.dst(f), b.dst(g))]\n"
+        "        ):\n"
+        '            bad.append(f"cell tensor ({f}, {g}) has wrong endpoints")\n',
+    ),
+    "cell tensor strictly unital": (
+        "bicats.py",
+        '    bad += [f"cell tensor not strictly unital at {f}"\n'
+        "            for f in names if t[(f, idi)] != f or t[(idi, f)] != f]\n",
+    ),
+    "tensor of identities": (
+        "bicats.py",
+        '    bad += [f"tensor of identities at ({x}, {y}) is not an identity"\n'
+        "            for x in objs for y in objs"
+        " if t[(one[x], one[y])] != one[b.obj_tensor[(x, y)]]]\n",
+    ),
+    "cell tensor associative": (
+        "bicats.py",
+        '    bad += [f"cell tensor not associative at ({f}, {g}, {h})"\n'
+        "            for f, g in product(names, names) for h in names\n"
+        "            if t[(t[(f, g)], h)] != t[(f, t[(g, h)])]]\n",
+    ),
+    "tensor functorial": (
+        "bicats.py",
+        '    bad += [f"tensor not functorial on ({f2}.{f1}, {g2}.{g1})"\n'
+        "            for f1, f2 in composable for g1, g2 in composable\n"
+        "            if t[(c[(f2, f1)], c[(g2, g1)])] != c[(t[(f2, g2)], t[(f1, g1)])]]\n",
+    ),
+    "cell tensor monotone": (
+        "bicats.py",
+        '    _monotone(bad, names, b.leq, t, "cell tensor")\n',
+    ),
+    "skew monoidale associativity": (
+        "classify.py",
+        "        b.leq_cells(assoc_left, assoc_right)\n        and ",
+    ),
+}
+
+
+def _run_targets(tmp_path, module: str, snippet: str) -> subprocess.CompletedProcess:
+    """Run the target tests on a copy of ``src/`` with ``snippet`` cut from
+    ``module``."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "catalan_sset" / module
+    text = path.read_text(encoding="utf-8")
+    if snippet:
+        assert text.count(snippet) == 1, f"snippet not found once in {module}: {snippet!r}"
+        text = text.replace(snippet, "")
+        compile(text, str(path), "exec")  # a cut that breaks the syntax kills nothing
+        path.write_text(text, encoding="utf-8")
+    path_var = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TARGETS],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path_var),
+        timeout=600,
+    )
+
+
+@pytest.mark.slow
+def test_the_uncut_copy_passes(tmp_path):
+    proc = _run_targets(tmp_path, "posets.py", "")
+    assert proc.returncode == 0, proc.stdout[-2000:]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("law", sorted(MUTANTS))
+def test_cutting_a_law_check_fails_the_tests(tmp_path, law):
+    proc = _run_targets(tmp_path, *MUTANTS[law])
+    # 1: some test failed; 2 would mean the run broke before testing anything
+    assert proc.returncode == 1, f"{law} survives:\n{proc.stdout[-2000:]}"

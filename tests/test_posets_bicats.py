@@ -210,30 +210,54 @@ def _partial_orders(k):
             yield leq
 
 
-def _monoidal_posets(k):
-    """Every monoidal poset on the labels 0..k-1: each partial order, each
-    unit and each table unital for it, kept when it is associative and
-    monotone.  Built from the laws alone, not through the package."""
+def _tables(k, unital):
+    """(order, unit, table) for every partial order on the labels 0..k-1,
+    every unit and every table, or every table unital for that unit."""
     els = range(k)
     for leq in _partial_orders(k):
         for unit in els:
-            free = [(a, b) for a in els for b in els if unit not in (a, b)]
+            free = [(a, b) for a in els for b in els if not unital or unit not in (a, b)]
             for values in product(els, repeat=len(free)):
                 t = dict(zip(free, values))
-                t.update({(unit, a): a for a in els})
-                t.update({(a, unit): a for a in els})
-                if any(t[(t[(a, b)], c)] != t[(a, t[(b, c)])]
-                       for a in els for b in els for c in els):
-                    continue
-                if any((t[(a, c)], t[(b, c)]) not in leq or (t[(c, a)], t[(c, b)]) not in leq
-                       for (a, b) in leq for c in els):
-                    continue
-                yield MonoidalPoset(
-                    elements=tuple(str(a) for a in els),
-                    leq=frozenset((str(a), str(b)) for (a, b) in leq),
-                    tensor={(str(a), str(b)): str(v) for (a, b), v in t.items()},
-                    unit=str(unit),
-                )
+                if unital:
+                    t.update({(unit, a): a for a in els})
+                    t.update({(a, unit): a for a in els})
+                yield leq, unit, t
+
+
+def _laws_hold(k, leq, unit, t) -> bool:
+    """The monoidal poset laws, stated here without the package."""
+    els = range(k)
+    return (
+        all(t[(unit, a)] == a == t[(a, unit)] for a in els)
+        and all(t[(t[(a, b)], c)] == t[(a, t[(b, c)])] for a in els for b in els for c in els)
+        and all((t[(a, c)], t[(b, c)]) in leq and (t[(c, a)], t[(c, b)]) in leq
+                for (a, b) in leq for c in els)
+    )
+
+
+def _poset(k, leq, unit, t) -> MonoidalPoset:
+    return MonoidalPoset(
+        elements=tuple(str(a) for a in range(k)),
+        leq=frozenset((str(a), str(b)) for (a, b) in leq),
+        tensor={(str(a), str(b)): str(v) for (a, b), v in t.items()},
+        unit=str(unit),
+    )
+
+
+def _monoidal_posets(k):
+    """Every monoidal poset on the labels 0..k-1: each partial order, each
+    unit and each table unital for it, kept when the laws hold.  Built from
+    the laws alone, not through the package."""
+    return [_poset(k, *table) for table in _tables(k, unital=True) if _laws_hold(k, *table)]
+
+
+@pytest.mark.parametrize("k,unital", [(2, False), (3, True)])
+def test_the_poset_validator_accepts_exactly_the_tables_the_laws_allow(k, unital):
+    """Every table on two elements, and every unital one on three: each law
+    the validator checks rejects a table no other law rejects."""
+    for table in _tables(k, unital):
+        assert validate_monoidal_poset(_poset(k, *table)).ok == _laws_hold(k, *table), table
 
 
 @pytest.mark.parametrize("k,count,commutative", [(1, 1, 1), (2, 8, 8), (3, 213, 159)])
