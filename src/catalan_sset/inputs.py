@@ -136,10 +136,21 @@ def parse_document(doc: dict):
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct; a repeated key is refused,
+    where ``json`` would keep its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise InvalidInputError(f"JSON object names the key {key!r} twice")
+        doc[key] = value
+    return doc
+
+
 def load_path(path: str | Path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise InvalidInputError(f"{path} is not a UTF-8 JSON file: {exc}") from exc
         except RecursionError as exc:
@@ -163,7 +174,8 @@ def load_suite(name: str):
         raise InvalidInputError(
             f"no bundled input {name!r}; available: {', '.join(suite_names())}"
         )
-    return parse_document(json.loads(entry.read_text(encoding="utf-8")))
+    text = entry.read_text(encoding="utf-8")
+    return parse_document(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 def resolve_input(path_or_name: str):

@@ -79,57 +79,32 @@ def rotation_covers(word: str) -> list[str]:
 
 
 def upward_closure(words) -> dict[str, frozenset]:
-    """For each word, the set of words reachable by rotations (itself included)."""
-    ups = {}
-    for w in words:
-        seen = {w}
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in rotation_covers(v):
-                    if u not in seen:
-                        seen.add(u)
-                        nxt.append(u)
-            frontier = nxt
-        ups[w] = frozenset(seen)
-    return ups
+    """For each word, the set of words reachable by rotations (itself included):
+    the word joined with its covers' closures, each built once in a dict local
+    to the call, by recursion as deep as the longest rotation chain above it."""
+    closures = {}
+
+    def closure(w):
+        if w not in closures:
+            closures[w] = frozenset({w}).union(*map(closure, rotation_covers(w)))
+        return closures[w]
+
+    return {w: closure(w) for w in words}
 
 
 def dyck_count(semilength: int) -> int:
     """The number of balanced words of the given semilength, building none.
 
-    The words are the leaves of a walk that grows a prefix one letter at a
-    time, never going below height 0.  The walk splits at the midpoint of
-    the word.  Its prefixes of length ``semilength`` are walked on an
-    explicit stack.  How a word goes on depends only on the state
-    (ups, downs) its prefix reaches, so the completions of each reached
-    state are walked once, in a dict local to the call, and each prefix
-    adds its state's count.  Every completion ends at
-    (semilength, semilength), so a leaf is one completion of one prefix.
+    ``ways[h]`` counts the prefixes that end at height h: each letter takes
+    a prefix one step up, or one step down when it is above height 0.
     """
-
-    def walk(ups, downs, stop):
-        """The state (ups, downs) of every extension to length ``stop``."""
-        stack = [(ups, downs)]
-        while stack:
-            ups, downs = stack.pop()
-            if ups + downs == stop:
-                yield ups, downs
-                continue
-            if downs < ups:
-                stack.append((ups, downs + 1))
-            if ups < semilength:
-                stack.append((ups + 1, downs))
-
-    completions = {}
-    count = 0
-    for state in walk(0, 0, semilength):
-        found = completions.get(state)
-        if found is None:
-            found = completions[state] = sum(1 for _ in walk(*state, 2 * semilength))
-        count += found
-    return count
+    if semilength < 0:
+        return 0
+    ways = [1] + [0] * semilength
+    for _ in range(2 * semilength):
+        ways = [(ways[h - 1] if h else 0) + (ways[h + 1] if h < semilength else 0)
+                for h in range(semilength + 1)]
+    return ways[0]
 
 
 def dyck_crosscheck(n: int) -> int:
@@ -175,41 +150,35 @@ class OrderProbeReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _rotation_leq_table(n: int) -> dict[LaxMatrix, dict]:
-    words = {x: matrix_to_word(x) for x in enumerate_level(n)}
-    ups = upward_closure(set(words.values()))
-    return {"words": words, "ups": ups}
-
-
 def order_probe(n: int) -> OrderProbeReport:
-    """Check both orders on level n against every face and degeneracy map."""
+    """Check both orders on level n against every face and degeneracy map.
+
+    Each map acts once on each simplex of level n.  The rotation order on
+    levels n - 1, n and n + 1 is read through one upward closure, built from
+    the words of level n and of their images.
+    """
     if n < 0:
         raise LevelOutOfRangeError("probe level must be >= 0")
     here = enumerate_level(n)
-    t_here = _rotation_leq_table(n)
-    t_down = _rotation_leq_table(n - 1) if n >= 1 else None
-    t_up = _rotation_leq_table(n + 1)
-
-    maps = []
-    if n >= 1:
-        maps.extend((f"d_{i}", delta.face(i, n), t_down) for i in range(n + 1))
-    maps.extend((f"s_{i}", delta.degeneracy(i, n), t_up) for i in range(n + 1))
-
-    def rot_leq(tbl, a, b):
-        return tbl["words"][b] in tbl["ups"][tbl["words"][a]]
-
-    inclusion_bad = []
-    rotation_bad = []
-    for x in here:
-        for y in here:
+    maps = [(f"d_{i}", delta.face(i, n)) for i in range(n + 1) if n >= 1]
+    maps += [(f"s_{i}", delta.degeneracy(i, n)) for i in range(n + 1)]
+    # per map: its label, the images of ``here`` and their words, by index
+    images = []
+    for label, xi in maps:
+        fx = [act(xi, x) for x in here]
+        images.append((label, fx, [matrix_to_word(f) for f in fx]))
+    words = [matrix_to_word(x) for x in here]
+    ups = upward_closure(set(words).union(*(fw for _, _, fw in images)))
+    inclusion_bad, rotation_bad = [], []
+    for i, x in enumerate(here):
+        for j, y in enumerate(here):
             incl = inclusion_leq(x, y)
-            rot = rot_leq(t_here, x, y)
+            rot = words[j] in ups[words[i]]
             if not (incl or rot):
                 continue
-            for label, xi, tbl in maps:
-                fx, fy = act(xi, x), act(xi, y)
-                if incl and not inclusion_leq(fx, fy):
+            for label, fx, fw in images:
+                if incl and not inclusion_leq(fx[i], fx[j]):
                     inclusion_bad.append((label, x, y))
-                if rot and not rot_leq(tbl, fx, fy):
+                if rot and fw[j] not in ups[fw[i]]:
                     rotation_bad.append((label, x, y))
     return OrderProbeReport(n, tuple(inclusion_bad), tuple(rotation_bad))

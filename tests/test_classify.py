@@ -390,6 +390,15 @@ def test_one_verdict_validates_its_input_once(monkeypatch, capsys):
     # builds, and the census validates the 2-category once
     assert cli.main(["verify-theorem", "--input", "or2"]) == 0
     assert calls.count("validate_monoidal_bicat") == 1
+    # verify-identities builds its nerve on the input as read and validated
+    for name, validations in [
+        ("sigma-or2", ["validate_monoidal_bicat", "validate_bicat"]),
+        ("chain2-discrete", ["validate_bicat"]),
+        ("or2", []),
+    ]:
+        calls.clear()
+        assert cli.main(["verify-identities", "--input", name, "--max-n", "2"]) == 0
+        assert calls == validations, name
     capsys.readouterr()
 
 

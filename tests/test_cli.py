@@ -287,10 +287,16 @@ def test_failing_verdict_exits_one(capsys, monkeypatch):
         ' "identities": {"*": "0"}, "obj_tensor": {"*,*": "*"},'
         ' "cell_tensor": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"},'
         ' "unit_object": "*"}',
+        '{"elements": ["0", "1"], "leq": [["0", "0"], ["0", "1"], ["1", "1"]],'
+        ' "tensor": {"0,0": "0", "0,1": "0", "0,1": "1", "1,0": "1", "1,1": "1"},'
+        ' "unit": "0"}',
+        '{"elements": ["0", "1"], "leq": [["0", "0"], ["0", "1"], ["1", "1"]],'
+        ' "tensor": {"0,0": "0", "0,1": "1", "1,0": "1", "1,1": "1"},'
+        ' "unit": "1", "unit": "0"}',
     ],
     ids=[
         "not-json", "leq-not-pairs", "elements-a-string", "nested-too-deep",
-        "tensor-value-a-number", "cell-name-a-number",
+        "tensor-value-a-number", "cell-name-a-number", "tensor-key-twice", "unit-twice",
     ],
 )
 def test_bad_input_file_exits_two_without_traceback(tmp_path, text):

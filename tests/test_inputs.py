@@ -10,7 +10,7 @@ from catalan_sset.bicats import (
     validate_monoidal_bicat,
 )
 from catalan_sset.errors import InvalidInputError
-from catalan_sset.inputs import _suite_dir, parse_document, suite_names
+from catalan_sset.inputs import _suite_dir, load_path, parse_document, suite_names
 from catalan_sset.posets import MonoidalPoset, validate_monoidal_poset
 
 JSON_VALUES = st.recursive(
@@ -68,3 +68,16 @@ def test_one_replaced_leaf_parses_validated_or_is_refused(name, data):
         return
     validate = next(v for cls, v in VALIDATORS if isinstance(out, cls))
     assert validate(out).ok
+
+
+@pytest.mark.parametrize("key", ["0,1", "unit"])
+def test_a_key_named_twice_is_refused_by_name(tmp_path, key):
+    """``json`` keeps a repeated key's last value; an input file that names
+    a key twice in one object is refused instead, at any depth."""
+    text = json.dumps(_suite_document("or2"))
+    first = f'"{key}": '
+    assert text.count(first) == 1
+    target = tmp_path / "twice.json"
+    target.write_text(text.replace(first, f'{first}"0", {first}', 1), encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=f"key '{key}' twice"):
+        load_path(target)

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from catalan_sset.bicats import (
+    Cell,
     PosetalBicat,
     PosetalMonoidalBicat,
     embed,
@@ -11,6 +12,7 @@ from catalan_sset.bicats import (
     validate_bicat,
     validate_monoidal_bicat,
 )
+from catalan_sset.catalan import lax_from_bits
 from catalan_sset.errors import InvalidInputError, NotCommutativeError
 from catalan_sset.inputs import (
     BICAT_KEYS,
@@ -149,6 +151,62 @@ def test_monoidal_bicat_unit_fault_detected():
     )
     report = validate_monoidal_bicat(bad)
     assert not report.ok
+
+
+def _one_cell(**changes) -> PosetalMonoidalBicat:
+    """The monoidal 2-category with one object ``*`` and one cell ``1``,
+    with ``changes`` made to its fields."""
+    fields = dict(
+        objects=("*",), cells=(Cell("1", "*", "*"),), leq=frozenset({("1", "1")}),
+        compose={("1", "1"): "1"}, identities={"*": "1"},
+        obj_tensor={("*", "*"): "*"}, cell_tensor={("1", "1"): "1"}, unit_object="*",
+    )
+    return PosetalMonoidalBicat(**{**fields, **changes})
+
+
+def _violations(check, value) -> tuple[str, ...]:
+    try:
+        return check(value).violations
+    except InvalidInputError as exc:
+        return (str(exc),)
+
+
+@pytest.mark.parametrize(
+    "check,value,message",
+    [
+        (validate_bicat, _one_cell(objects=()), "objects must be non-empty and distinct"),
+        (validate_bicat, _one_cell(cells=(Cell("1", "*", "*"),) * 2),
+         "cell names must be distinct"),
+        (validate_bicat, _one_cell(cells=(Cell("1", "*", "*"), Cell("a,b", "*", "*"))),
+         "cell names must not contain commas"),
+        (validate_bicat,
+         _one_cell(objects=("*", "b"), cells=(Cell("1", "*", "*"), Cell("e", "*", "b")),
+                   leq=frozenset({("1", "1"), ("e", "e")}), identities={"*": "1", "b": "e"}),
+         "identity of b is not an endo-cell"),
+        (validate_bicat, _one_cell(compose={("1", "1"): "x"}),
+         "composite 1 . 1 = x has wrong endpoints"),
+        (validate_monoidal_bicat, _one_cell(unit_object="u"), "unit object u unknown"),
+        (validate_monoidal_bicat, _one_cell(obj_tensor={("*", "*"): "u"}),
+         "object tensor undefined or out of range on (*, *)"),
+        (validate_monoidal_bicat, _one_cell(cell_tensor={("1", "1"): "x"}),
+         "cell tensor (1, 1) = x unknown"),
+        (validate_monoidal_poset, MonoidalPoset((), frozenset(), {}, "0"),
+         "elements must be a non-empty list without repeats"),
+        (validate_monoidal_poset,
+         MonoidalPoset(("a,b",), frozenset({("a,b", "a,b")}), {("a,b", "a,b"): "a,b"}, "a,b"),
+         "element names must not contain commas"),
+        (lambda bits: lax_from_bits(1, bits), (2,), "entries must be 0 or 1"),
+    ],
+    ids=[
+        "no-objects", "repeated-cell", "comma-cell", "identity-not-endo", "composite-unknown",
+        "unit-object-unknown", "object-tensor-unknown", "cell-tensor-unknown", "no-elements",
+        "comma-element", "bit-two",
+    ],
+)
+def test_each_structural_fault_gets_its_message(check, value, message):
+    """One minimal input per structural message of the validators, which
+    the law perturbations below never reach."""
+    assert message in _violations(check, value)
 
 
 # -- the probe and its single-entry perturbations ------------------------------

@@ -3,6 +3,7 @@ import pytest
 from catalan_sset import delta
 from catalan_sset.catalan import act, catalan_number, enumerate_level, lax_from_bits
 from catalan_sset.tamari import (
+    OrderProbeReport,
     ballot,
     dyck_count,
     dyck_crosscheck,
@@ -42,7 +43,8 @@ def _dyck_count_one_at_a_time(semilength):
 
 
 def test_path_count_equals_the_one_at_a_time_walk():
-    for s in range(14):
+    # a negative semilength has no words
+    for s in range(-2, 14):
         assert dyck_count(s) == _dyck_count_one_at_a_time(s)
 
 
@@ -115,6 +117,33 @@ def test_rotation_order_has_bottom_and_top():
         assert len(tops) == 1
 
 
+def _bfs_upward_closure(words):
+    """Oracle for ``upward_closure``: one breadth-first search per word,
+    sharing nothing between words."""
+    ups = {}
+    for w in words:
+        seen = {w}
+        frontier = [w]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in rotation_covers(v):
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        ups[w] = frozenset(seen)
+    return ups
+
+
+def test_upward_closure_equals_one_search_per_word():
+    for s in range(8):
+        words = _recursive_dyck_words(s)
+        assert upward_closure(words) == _bfs_upward_closure(words)
+    # a closure built for a cover is not returned unless asked for
+    assert upward_closure(["UDUD"]) == {"UDUD": frozenset({"UDUD", "UUDD"})}
+
+
 def test_inclusion_has_expected_extremes():
     for n in range(1, 5):
         level = enumerate_level(n)
@@ -152,3 +181,39 @@ def test_inclusion_preserved_by_every_map_up_to_level_four():
             for xi in delta.all_maps(m, n):
                 for x, y in comparable:
                     assert inclusion_leq(act(xi, x), act(xi, y))
+
+
+def _order_probe_per_pair(n):
+    """Oracle for ``order_probe``: both orders read from full-level word
+    tables, and every map acting afresh on both simplices of every pair."""
+
+    def table(m):
+        words = {x: matrix_to_word(x) for x in enumerate_level(m)}
+        return words, _bfs_upward_closure(set(words.values()))
+
+    def rot_leq(tbl, a, b):
+        words, ups = tbl
+        return words[b] in ups[words[a]]
+
+    here = enumerate_level(n)
+    t_here, t_down, t_up = table(n), table(n - 1) if n >= 1 else None, table(n + 1)
+    maps = [(f"d_{i}", delta.face(i, n), t_down) for i in range(n + 1) if n >= 1]
+    maps += [(f"s_{i}", delta.degeneracy(i, n), t_up) for i in range(n + 1)]
+    inclusion_bad, rotation_bad = [], []
+    for x in here:
+        for y in here:
+            incl, rot = inclusion_leq(x, y), rot_leq(t_here, x, y)
+            if not (incl or rot):
+                continue
+            for label, xi, tbl in maps:
+                fx, fy = act(xi, x), act(xi, y)
+                if incl and not inclusion_leq(fx, fy):
+                    inclusion_bad.append((label, x, y))
+                if rot and not rot_leq(tbl, fx, fy):
+                    rotation_bad.append((label, x, y))
+    return OrderProbeReport(n, tuple(inclusion_bad), tuple(rotation_bad))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_order_probe_equals_the_per_pair_probe(n):
+    assert order_probe(n) == _order_probe_per_pair(n)
