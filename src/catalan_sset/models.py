@@ -4,14 +4,12 @@ A simplex can equivalently be given as a reflexive symmetric relation with
 the interpolation property (the pairs marking intervals whose bit is 0), or
 as a reflexive square ideal: a pair set containing the identity ideal and
 closed downward in its first coordinate and upward in its second.  Both
-presentations transform along monotone maps by plain inverse image, which
-for ideals also agrees with sandwiching between the adjoint ideals of the
-map.
+transform along monotone maps by plain inverse image, which for ideals also
+agrees with sandwiching between the adjoint ideals of the map.
 
-Both are stored as one bitmask per row, so inverse image is a gather of
-rows through a per-map preimage table, and composing or comparing ideals
-is integer arithmetic on rows.  The conversions to and from interval tables
-still read pairs, through ``entry`` and the ``pairs`` view.
+Both are stored as one bitmask per row.  Every law check, conversion,
+adjoint pair and census candidate works on rows; pairs appear only at the
+public edge, where the constructors take them and ``pairs`` gives them back.
 """
 
 from __future__ import annotations
@@ -63,12 +61,32 @@ def _pairs_of_rows(rows: tuple) -> frozenset:
     )
 
 
+class _PairEdge:
+    """Where pairs meet rows, for both relation types: the ``pairs`` view,
+    and ``_make`` (so ``_replace``), copy and pickle rebuilding through the
+    pairs constructor, so that no way in skips its grid check."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        *tops, rows = fields
+        return cls(*tops, _pairs_of_rows(rows))
+
+    def __getnewargs__(self):
+        return (*self[:-1], self.pairs)
+
+    @property
+    def pairs(self) -> frozenset:
+        return _pairs_of_rows(self.rows)
+
+
 class _RelationFields(NamedTuple):
     n: int
     rows: tuple[int, ...]
 
 
-class InterpolativeRelation(_RelationFields):
+class InterpolativeRelation(_PairEdge, _RelationFields):
     """A reflexive symmetric relation on [n] with the interpolation property.
 
     Stored as one bitmask per row: bit b of ``rows[a]`` says (a, b) is
@@ -82,13 +100,6 @@ class InterpolativeRelation(_RelationFields):
     def __new__(cls, n: int, pairs: Iterable[tuple[int, int]]):
         return tuple.__new__(cls, (n, _rows_from_pairs(pairs, n, n, NotInterpolativeError)))
 
-    def __getnewargs__(self):  # copy and pickle rebuild through ``__new__``
-        return self.n, self.pairs
-
-    @property
-    def pairs(self) -> frozenset:
-        return _pairs_of_rows(self.rows)
-
 
 class _IdealFields(NamedTuple):
     m_top: int
@@ -96,7 +107,7 @@ class _IdealFields(NamedTuple):
     rows: tuple[int, ...]
 
 
-class IdealRelation(_IdealFields):
+class IdealRelation(_PairEdge, _IdealFields):
     """An ideal [m_top] -/-> [n_top]: pairs (j, i) in [n_top] x [m_top],
     closed under shrinking j and growing i.
 
@@ -112,13 +123,6 @@ class IdealRelation(_IdealFields):
     def __new__(cls, m_top: int, n_top: int, pairs: Iterable[tuple[int, int]]):
         rows = _rows_from_pairs(pairs, n_top, m_top, NotAnIdealError)
         return tuple.__new__(cls, (m_top, n_top, rows))
-
-    def __getnewargs__(self):
-        return self.m_top, self.n_top, self.pairs
-
-    @property
-    def pairs(self) -> frozenset:
-        return _pairs_of_rows(self.rows)
 
 
 @lru_cache(maxsize=None)
@@ -145,17 +149,21 @@ def _gather(xi: MonotoneMap, rows: tuple[int, ...]) -> tuple[int, ...]:
 # -- interpolative relations ----------------------------------------------
 
 
-def _check_interpolative(n: int, pairs: frozenset) -> None:
+def _check_interpolative(n: int, rows: tuple[int, ...]) -> None:
+    """Reflexive, symmetric, interpolative; a failure names its first pair in row order."""
     for v in range(n + 1):
-        if (v, v) not in pairs:
+        if not rows[v] >> v & 1:
             raise NotInterpolativeError(f"not reflexive: missing {(v, v)}")
-    for (a, b) in pairs:
-        if (b, a) not in pairs:
-            raise NotInterpolativeError(f"not symmetric: {(a, b)} without {(b, a)}")
-    for (a, b) in pairs:
-        i, k = min(a, b), max(a, b)
-        for j in range(i, k + 1):
-            if (i, j) not in pairs or (j, k) not in pairs:
+    for a, r in enumerate(rows):
+        for b in range(n + 1):
+            if r >> b & 1 and not rows[b] >> a & 1:
+                raise NotInterpolativeError(f"not symmetric: {(a, b)} without {(b, a)}")
+    for i, r in enumerate(rows):
+        for k in range(i + 1, n + 1):
+            # the j in [i, k] with (i, j) or, by symmetry, (j, k) unrelated
+            gaps = ((2 << k) - (1 << i)) & ~(r & rows[k])
+            if r >> k & 1 and gaps:
+                j = (gaps & -gaps).bit_length() - 1
                 raise NotInterpolativeError(
                     f"interpolation fails: {(i, k)} present, {(i, j)}/{(j, k)} not"
                 )
@@ -163,18 +171,17 @@ def _check_interpolative(n: int, pairs: frozenset) -> None:
 
 def lax_to_relation(x: LaxMatrix) -> InterpolativeRelation:
     """Relate the endpoints of every 0-interval, plus the diagonal."""
-    pairs = {(v, v) for v in range(x.n + 1)}
-    for (i, j) in intervals(x.n):
-        if x.entry(i, j) == 0:
-            pairs.add((i, j))
-            pairs.add((j, i))
-    return InterpolativeRelation(x.n, frozenset(pairs))
+    rows = [1 << v for v in range(x.n + 1)]
+    for (i, j), bit in zip(intervals(x.n), x.bit_tuple()):
+        if not bit:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple.__new__(InterpolativeRelation, (x.n, tuple(rows)))
 
 
 def relation_to_lax(rel: InterpolativeRelation) -> LaxMatrix:
-    pairs = rel.pairs
-    _check_interpolative(rel.n, pairs)
-    bits = (0 if (i, j) in pairs else 1 for (i, j) in intervals(rel.n))
+    _check_interpolative(rel.n, rel.rows)
+    bits = (0 if rel.rows[i] >> j & 1 else 1 for (i, j) in intervals(rel.n))
     return lax_from_bits(rel.n, bits)
 
 
@@ -187,45 +194,33 @@ def relation_pullback(xi: MonotoneMap, rel: InterpolativeRelation) -> Interpolat
 # -- square ideals ---------------------------------------------------------
 
 
-def _is_ideal(pairs: Iterable[tuple[int, int]], m_top: int, n_top: int) -> bool:
-    # stepwise closure is equivalent to the full law
-    ps = set(pairs)
-    for (j, i) in ps:
-        if not (0 <= j <= n_top and 0 <= i <= m_top):
-            return False
-        if j > 0 and (j - 1, i) not in ps:
-            return False
-        if i < m_top and (j, i + 1) not in ps:
-            return False
-    return True
+def _is_ideal(rows: tuple[int, ...], m_top: int) -> bool:
+    """Each row closed upward in i and inside the row before: the stepwise law."""
+    up = all(r << 1 & ((2 << m_top) - 1) & ~r == 0 for r in rows)
+    return up and all(r & ~before == 0 for before, r in zip(rows, rows[1:]))
 
 
 def identity_ideal(n: int) -> IdealRelation:
-    return IdealRelation(
-        n, n, frozenset((j, i) for i in range(n + 1) for j in range(i + 1))
-    )
+    """Row j holds every i >= j."""
+    return tuple.__new__(IdealRelation, (n, n, tuple((2 << n) - (1 << j) for j in range(n + 1))))
 
 
 def lax_to_ideal(x: LaxMatrix) -> IdealRelation:
-    """(j, i) is related when j <= i, or when j > i and the interval bit is 0."""
-    n = x.n
-    pairs = {(j, i) for i in range(n + 1) for j in range(i + 1)}
-    for (i, j) in intervals(n):
-        if x.entry(i, j) == 0:
-            pairs.add((j, i))
-    return IdealRelation(n, n, frozenset(pairs))
+    """(j, i) is related when j <= i, or when j > i and the interval bit is
+    0: the identity ideal joined with the relation."""
+    both = zip(identity_ideal(x.n).rows, lax_to_relation(x).rows)
+    return tuple.__new__(IdealRelation, (x.n, x.n, tuple(d | r for d, r in both)))
 
 
 def ideal_to_lax(b: IdealRelation) -> LaxMatrix:
     if b.m_top != b.n_top:
         raise ShapeMismatchError("only square ideals present a simplex")
-    n = b.n_top
-    pairs = b.pairs
-    if not _is_ideal(pairs, n, n):
+    n, rows = b.n_top, b.rows
+    if not _is_ideal(rows, n):
         raise NotAnIdealError("pair set violates the ideal closure law")
-    if not all((j, i) in pairs for i in range(n + 1) for j in range(i + 1)):
+    if not ideal_leq(identity_ideal(n), b):
         raise MissingIdentityIdealError("identity ideal not contained")
-    bits = (0 if (j, i) in pairs else 1 for (i, j) in intervals(n))
+    bits = (0 if rows[j] >> i & 1 else 1 for (i, j) in intervals(n))
     return lax_from_bits(n, bits)
 
 
@@ -263,21 +258,12 @@ def adjoint_ideals(xi: MonotoneMap) -> tuple[IdealRelation, IdealRelation]:
     1 <= upper . lower and lower . upper <= 1.
     """
     m, n = xi.domain_top, xi.codomain_top
-    lower = IdealRelation(
-        m,
-        n,
-        frozenset(
-            (j, i) for i in range(m + 1) for j in range(n + 1) if j <= xi.values[i]
-        ),
+    # xi is monotone, so the i with xi(i) >= j are those past the values below j
+    lower = tuple((2 << m) - (1 << sum(v < j for v in xi.values)) for j in range(n + 1))
+    upper = tuple((2 << n) - (1 << v) for v in xi.values)
+    return (
+        tuple.__new__(IdealRelation, (m, n, lower)), tuple.__new__(IdealRelation, (n, m, upper))
     )
-    upper = IdealRelation(
-        n,
-        m,
-        frozenset(
-            (i, j) for i in range(m + 1) for j in range(n + 1) if xi.values[i] <= j
-        ),
-    )
-    return lower, upper
 
 
 def ideal_pullback(xi: MonotoneMap, b: IdealRelation) -> IdealRelation:
@@ -295,13 +281,11 @@ def enumerate_square_ideals(n: int) -> tuple[IdealRelation, ...]:
     prefixes {0..k} and then re-checked against the raw closure law, so the
     count does not lean on the interval-table model.
     """
+    identity = identity_ideal(n)
     out = []
     for tops in product(*[range(i, n + 1) for i in range(n + 1)]):
-        pairs = frozenset(
-            (j, i) for i in range(n + 1) for j in range(tops[i] + 1)
-        )
-        if _is_ideal(pairs, n, n) and all(
-            (j, i) in pairs for i in range(n + 1) for j in range(i + 1)
-        ):
-            out.append(IdealRelation(n, n, pairs))
+        rows = tuple(sum(1 << i for i, t in enumerate(tops) if j <= t) for j in range(n + 1))
+        b = tuple.__new__(IdealRelation, (n, n, rows))
+        if _is_ideal(rows, n) and ideal_leq(identity, b):
+            out.append(b)
     return tuple(out)

@@ -1,6 +1,7 @@
 """The probe, a posetal monoidal 2-category that is neither an embedding nor
-a suspension, and the single-entry perturbations of a 2-category's tables.
-Imported by the test modules; pytest does not collect it.
+a suspension; componentwise products; and the single-entry perturbations of
+a 2-category's tables.  Imported by the test modules; pytest does not
+collect it.
 
 The probe has objects ``I`` (the unit) and ``A`` with ``A x A = A``;
 ``hom(I, I) = {1I}``, ``hom(I, A) = {e}`` and ``hom(A, I)`` is empty.
@@ -51,6 +52,34 @@ def probe() -> PosetalMonoidalBicat:
         obj_tensor={(x, y): "I" if x == y == "I" else "A" for x in "IA" for y in "IA"},
         cell_tensor=cell_tensor,
         unit_object="I",
+    )
+
+
+def pair_name(u: str, v: str) -> str:
+    """The name of a pair of names in a product: no comma, so the tables of
+    an input file could still spell it."""
+    return f"{u}&{v}"
+
+
+def product(b1: PosetalMonoidalBicat, b2: PosetalMonoidalBicat) -> PosetalMonoidalBicat:
+    """The componentwise product: objects, cells, order, composition and both
+    tensors are taken factor by factor."""
+
+    def on_pairs(t1, t2):
+        return {(pair_name(a1, a2), pair_name(c1, c2)): pair_name(t1[(a1, c1)], t2[(a2, c2)])
+                for (a1, c1) in t1 for (a2, c2) in t2}
+
+    return PosetalMonoidalBicat(
+        objects=tuple(pair_name(x, y) for x in b1.objects for y in b2.objects),
+        cells=tuple(Cell(*map(pair_name, f, g)) for f in b1.cells for g in b2.cells),
+        leq=frozenset((pair_name(f1, g1), pair_name(f2, g2))
+                      for f1, f2 in b1.leq for g1, g2 in b2.leq),
+        compose=on_pairs(b1.compose, b2.compose),
+        identities={pair_name(x, y): pair_name(i, j)
+                    for x, i in b1.identities.items() for y, j in b2.identities.items()},
+        obj_tensor=on_pairs(b1.obj_tensor, b2.obj_tensor),
+        cell_tensor=on_pairs(b1.cell_tensor, b2.cell_tensor),
+        unit_object=pair_name(b1.unit_object, b2.unit_object),
     )
 
 

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import sys
+from functools import lru_cache
 
 import pytest
 
 from catalan_sset import bicats, classify, cli
-from catalan_sset.bicats import embed, suspend
+from catalan_sset.bicats import embed, suspend, validate_monoidal_bicat
 from catalan_sset.catalan import CatalanSet
 from catalan_sset.classify import (
     MonadStructure,
@@ -21,7 +22,7 @@ from catalan_sset.inputs import load_suite, parse_document
 from catalan_sset.nerve import BicatNerve, MonoidalNerve
 from catalan_sset.posets import MonoidalPoset
 from catalan_sset.sset import enumerate_truncated_maps
-from fixtures_bicats import plain, probe
+from fixtures_bicats import pair_name, plain, probe, product
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +295,40 @@ def test_monad_remark_on_the_probe():
     report = verify_monad_remark(k, input_name="probe")
     assert report.ok, report.failures
     assert (report.map_count, report.structure_count) == (3, 3)
+
+
+@lru_cache(maxsize=None)
+def _factor(name: str):
+    """The probe or a bundled input as a monoidal 2-category, with its map
+    count and its census."""
+    if name == "probe":
+        b = probe()
+    else:
+        obj = load_suite(name)
+        b = embed(obj) if isinstance(obj, MonoidalPoset) else obj
+    return b, verify_theorem(b).map_count, skew_monoidales(b)
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("or2", "and2"), ("chain3-max", "or2"), ("sigma-or2", "or2"), ("probe", "or2"),
+        ("probe", "sigma-or2"), ("probe", "chain3-max"),
+    ],
+)
+def test_theorem_on_a_product(left, right):
+    """The nerve of a product is the product of the nerves, so its maps are
+    pairs of maps: the map counts multiply and the census pairs up, with no
+    appeal to the census's own conditions."""
+    (b1, maps1, census1), (b2, maps2, census2) = _factor(left), _factor(right)
+    b = product(b1, b2)
+    assert validate_monoidal_bicat(b).ok
+    report = verify_theorem(b, input_name=f"{left} x {right}")
+    assert report.ok, report.failures
+    assert report.map_count == maps1 * maps2
+    assert sorted(skew_monoidales(b)) == sorted(
+        SkewMonoidale(*map(pair_name, s1, s2)) for s1 in census1 for s2 in census2
+    )
 
 
 # per kind: an input with two structures, its verdict and its census

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -73,6 +74,19 @@ def test_relation_validation():
                 2, frozenset({(0, 0), (1, 1), (2, 2), (0, 2), (2, 0), (1, 2), (2, 1)})
             )
         )
+    with pytest.raises(NotInterpolativeError, match=re.escape("(1, 0) without (0, 1)")):
+        # below the diagonal only, where no interpolation test looks
+        relation_to_lax(InterpolativeRelation(1, frozenset({(0, 0), (1, 1), (1, 0)})))
+
+
+def test_relation_failures_name_the_first_pair_in_row_order():
+    diag = {(v, v) for v in range(5)}
+    with pytest.raises(NotInterpolativeError, match=re.escape("(1, 3) without (3, 1)")):
+        relation_to_lax(InterpolativeRelation(4, diag | {(2, 0), (1, 3)}))
+    with pytest.raises(NotInterpolativeError, match=re.escape(
+        "interpolation fails: (1, 3) present, (1, 2)/(2, 3) not"
+    )):
+        relation_to_lax(InterpolativeRelation(4, diag | {(2, 4), (4, 2), (1, 3), (3, 1)}))
 
 
 # -- ideals ---------------------------------------------------------------------
@@ -110,20 +124,23 @@ def test_ideal_validation_errors():
 
 
 def test_ideal_law_matches_full_quantifier_form():
-    def full_law(pairs, top):
+    """Every pair set of every shape [m_top] -/-> [n_top] with both tops <= 2,
+    the non-square ones included."""
+
+    def full_law(pairs, m_top):
         return all(
             (q, p) in pairs
             for (j, i) in pairs
             for q in range(j + 1)
-            for p in range(i, top + 1)
+            for p in range(i, m_top + 1)
         )
 
-    import itertools
-
-    grid = list(itertools.product(range(3), range(3)))
-    for bits in range(2 ** len(grid)):
-        pairs = frozenset(g for k, g in enumerate(grid) if (bits >> k) & 1)
-        assert models._is_ideal(pairs, 2, 2) == full_law(pairs, 2)
+    for m_top, n_top in itertools.product(range(3), range(3)):
+        grid = list(itertools.product(range(n_top + 1), range(m_top + 1)))
+        for bits in range(2 ** len(grid)):
+            pairs = frozenset(g for k, g in enumerate(grid) if (bits >> k) & 1)
+            rows = IdealRelation(m_top, n_top, pairs).rows
+            assert models._is_ideal(rows, m_top) == full_law(pairs, m_top), pairs
 
 
 # -- ideal calculus ---------------------------------------------------------------
@@ -179,7 +196,7 @@ def test_composite_of_ideals_is_an_ideal():
             for xi in delta.all_maps(m, n):
                 lo, up = adjoint_ideals(xi)
                 comp = compose_ideals(up, lo)
-                assert models._is_ideal(comp.pairs, comp.m_top, comp.n_top)
+                assert models._is_ideal(comp.rows, comp.m_top)
 
 
 # -- actions commute with both conversions ------------------------------------------
@@ -216,7 +233,7 @@ def test_pullback_of_ideal_is_ideal(data):
     xi = delta.MonotoneMap(m, n, values)
     x = data.draw(st.sampled_from(enumerate_level(n)))
     pulled = ideal_pullback(xi, lax_to_ideal(x))
-    assert models._is_ideal(pulled.pairs, m, m)
+    assert models._is_ideal(pulled.rows, m)
     assert ideal_leq(identity_ideal(m), pulled)
 
 
@@ -371,3 +388,17 @@ def test_stray_pairs_are_kept_and_refused(stray):
     with pytest.raises(NotAnIdealError, match=re.escape(f"pair {stray} outside")):
         IdealRelation(1, 1, identity_ideal(1).pairs | {stray})
 
+
+def test_make_and_replace_check_like_the_constructor():
+    with pytest.raises(NotAnIdealError, match=re.escape("pair (0, 2) outside")):
+        identity_ideal(1)._replace(rows=(0b100, 0b10))
+    with pytest.raises(NotInterpolativeError, match=re.escape("pair (0, 2) outside")):
+        InterpolativeRelation._make((1, (0b111, 0b11)))
+    with pytest.raises(NotAnIdealError):
+        IdealRelation._make((1, 1, (0b11, 0b11, 0b1)))
+    b = identity_ideal(1)._replace(rows=(0b11, 0b11))
+    assert type(b) is IdealRelation and b == lax_to_ideal(ZERO1)
+    rel = lax_to_relation(I2)
+    same = rel._replace(n=2)
+    assert type(same) is InterpolativeRelation and same == rel
+    assert InterpolativeRelation._make(rel) == rel

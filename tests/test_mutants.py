@@ -1,11 +1,13 @@
-"""Every law check of the validators, and the associativity inequality of the
-skew-monoidale census, is needed: cutting any one of them from a copy of the
-package makes the validator and classification tests fail.
+"""Every law check of the validators, the associativity inequality of the
+skew-monoidale census and each row-law check of the relation and ideal
+models is needed: cutting any one of them from a copy of the package makes
+the tests that pin it fail.
 
-Each mutant is a (module, exact source snippet) pair; the snippet is cut
-from a fresh copy of ``src/`` and the two test modules run in a child
-process with that copy first on ``PYTHONPATH``.  A snippet that is no longer
-in its module fails the test, so the list cannot go stale silently.
+Each mutant is a (module, exact source snippet, test modules) triple; the
+snippet is cut from a fresh copy of ``src/`` and the named test modules run
+in a child process with that copy first on ``PYTHONPATH``.  A snippet that
+is no longer in its module fails the test, so the list cannot go stale
+silently.
 """
 
 import os
@@ -17,62 +19,74 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TARGETS = ("tests/test_posets_bicats.py", "tests/test_classify.py")
+LAWS = ("tests/test_posets_bicats.py", "tests/test_classify.py")
+MODELS = ("tests/test_models.py",)
 
 MUTANTS = {
     "order reflexive": (
         "posets.py",
         '[f"{what} not reflexive at {a}" for a in names if (a, a) not in leq]\n        + ',
+        LAWS,
     ),
     "order antisymmetric": (
         "posets.py",
         '\n        + [f"{what} not antisymmetric on {a}, {b}" for a, b in pairs'
         " if a != b and (b, a) in leq]",
+        LAWS,
     ),
     "order transitive": (
         "posets.py",
         '\n        + [f"{what} not transitive: " + transitive.format(a, b, c)\n'
         "           for a, b in pairs for c in names if (b, c) in leq and (a, c) not in leq]",
+        LAWS,
     ),
     "poset unit law": (
         "posets.py",
         '    bad += [f"unit law fails at {a}" for a in els'
         " if t[(m.unit, a)] != a or t[(a, m.unit)] != a]\n",
+        LAWS,
     ),
     "poset associativity": (
         "posets.py",
         '    bad += [f"associativity fails at ({a}, {b}, {c})"\n'
         "            for a, b in grid for c in els if t[(t[(a, b)], c)] != t[(a, t[(b, c)])]]\n",
+        LAWS,
     ),
     "poset tensor monotone on the left": (
         "posets.py",
         "            if (t[(a, c)], t[(b, c)]) not in m.leq:\n"
         '                bad.append(f"tensor not monotone on the left: {a} <= {b}, with {c}")\n',
+        LAWS,
     ),
     "poset tensor monotone on the right": (
         "posets.py",
         "            if (t[(c, a)], t[(c, b)]) not in m.leq:\n"
         '                bad.append(f"tensor not monotone on the right: {a} <= {b}, with {c}")\n',
+        LAWS,
     ),
     "composition right unit": (
         "bicats.py",
         "        if c[(f, one[k.src(f)])] != f:\n"
         '            bad.append(f"right unit law fails at {f}")\n',
+        LAWS,
     ),
     "composition left unit": (
         "bicats.py",
         "        if c[(one[k.dst(f)], f)] != f:\n"
         '            bad.append(f"left unit law fails at {f}")\n',
+        LAWS,
     ),
     "composition associative": (
         "bicats.py",
         '    bad += [f"associativity fails at {h} . {g} . {f}"\n'
         "            for f in names for g in names if (g, f) in c\n"
         "            for h in names if (h, g) in c and c[(h, c[(g, f)])] != c[(c[(h, g)], f)]]\n",
+        LAWS,
     ),
     "composition monotone": (
         "bicats.py",
         '    _monotone(bad, names, k.leq, {(f, g): h for (g, f), h in c.items()}, "composition")\n',
+        LAWS,
     ),
     "cell tensor endpoints": (
         "bicats.py",
@@ -80,44 +94,92 @@ MUTANTS = {
         "            b.obj_tensor[(b.src(f), b.src(g))], b.obj_tensor[(b.dst(f), b.dst(g))]\n"
         "        ):\n"
         '            bad.append(f"cell tensor ({f}, {g}) has wrong endpoints")\n',
+        LAWS,
     ),
     "cell tensor strictly unital": (
         "bicats.py",
         '    bad += [f"cell tensor not strictly unital at {f}"\n'
         "            for f in names if t[(f, idi)] != f or t[(idi, f)] != f]\n",
+        LAWS,
     ),
     "tensor of identities": (
         "bicats.py",
         '    bad += [f"tensor of identities at ({x}, {y}) is not an identity"\n'
         "            for x in objs for y in objs"
         " if t[(one[x], one[y])] != one[b.obj_tensor[(x, y)]]]\n",
+        LAWS,
     ),
     "cell tensor associative": (
         "bicats.py",
         '    bad += [f"cell tensor not associative at ({f}, {g}, {h})"\n'
         "            for f, g in product(names, names) for h in names\n"
         "            if t[(t[(f, g)], h)] != t[(f, t[(g, h)])]]\n",
+        LAWS,
     ),
     "tensor functorial": (
         "bicats.py",
         '    bad += [f"tensor not functorial on ({f2}.{f1}, {g2}.{g1})"\n'
         "            for f1, f2 in composable for g1, g2 in composable\n"
         "            if t[(c[(f2, f1)], c[(g2, g1)])] != c[(t[(f2, g2)], t[(f1, g1)])]]\n",
+        LAWS,
     ),
     "cell tensor monotone": (
         "bicats.py",
         '    _monotone(bad, names, b.leq, t, "cell tensor")\n',
+        LAWS,
     ),
     "skew monoidale associativity": (
         "classify.py",
         "        b.leq_cells(assoc_left, assoc_right)\n        and ",
+        LAWS,
+    ),
+    # the models' row laws; the identity re-check in ``enumerate_square_ideals``
+    # is left out, since every generated column top is at least its index, so
+    # every candidate holds the identity ideal and no cut of it can be killed
+    "relation reflexive": (
+        "models.py",
+        "    for v in range(n + 1):\n"
+        "        if not rows[v] >> v & 1:\n"
+        '            raise NotInterpolativeError(f"not reflexive: missing {(v, v)}")\n',
+        MODELS,
+    ),
+    "relation symmetric": (
+        "models.py",
+        "    for a, r in enumerate(rows):\n"
+        "        for b in range(n + 1):\n"
+        "            if r >> b & 1 and not rows[b] >> a & 1:\n"
+        '                raise NotInterpolativeError(f"not symmetric: {(a, b)} without {(b, a)}")\n',
+        MODELS,
+    ),
+    "relation interpolative": (
+        "models.py",
+        "            if r >> k & 1 and gaps:\n"
+        "                j = (gaps & -gaps).bit_length() - 1\n"
+        "                raise NotInterpolativeError(\n"
+        '                    f"interpolation fails: {(i, k)} present, {(i, j)}/{(j, k)} not"\n'
+        "                )\n",
+        MODELS,
+    ),
+    "ideal rows closed upward": ("models.py", "up and ", MODELS),
+    "ideal rows inside the row before": (
+        "models.py",
+        " and all(r & ~before == 0 for before, r in zip(rows, rows[1:]))",
+        MODELS,
+    ),
+    "ideal contains the identity": (
+        "models.py",
+        "    if not ideal_leq(identity_ideal(n), b):\n"
+        '        raise MissingIdentityIdealError("identity ideal not contained")\n',
+        MODELS,
     ),
 }
 
 
-def _run_targets(tmp_path, module: str, snippet: str) -> subprocess.CompletedProcess:
-    """Run the target tests on a copy of ``src/`` with ``snippet`` cut from
-    ``module``."""
+def _run_targets(
+    tmp_path, module: str, snippet: str, targets: tuple[str, ...]
+) -> subprocess.CompletedProcess:
+    """Run the ``targets`` test modules on a copy of ``src/`` with ``snippet``
+    cut from ``module``."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     path = src / "catalan_sset" / module
@@ -129,7 +191,7 @@ def _run_targets(tmp_path, module: str, snippet: str) -> subprocess.CompletedPro
         path.write_text(text, encoding="utf-8")
     path_var = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TARGETS],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *targets],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -140,7 +202,7 @@ def _run_targets(tmp_path, module: str, snippet: str) -> subprocess.CompletedPro
 
 @pytest.mark.slow
 def test_the_uncut_copy_passes(tmp_path):
-    proc = _run_targets(tmp_path, "posets.py", "")
+    proc = _run_targets(tmp_path, "posets.py", "", LAWS + MODELS)
     assert proc.returncode == 0, proc.stdout[-2000:]
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from catalan_sset import delta
-from catalan_sset.catalan import act, catalan_number, enumerate_level, lax_from_bits
+from catalan_sset import cli, delta, tamari
+from catalan_sset.catalan import LaxMatrix, act, catalan_number, enumerate_level, lax_from_bits
 from catalan_sset.tamari import (
     OrderProbeReport,
     ballot,
@@ -217,3 +217,26 @@ def _order_probe_per_pair(n):
 @pytest.mark.parametrize("n", range(6))
 def test_order_probe_equals_the_per_pair_probe(n):
     assert order_probe(n) == _order_probe_per_pair(n)
+
+
+def test_probe_reports_a_map_that_breaks_inclusion(monkeypatch, capsys):
+    """No face or degeneracy breaks containment, so a stand-in action does:
+    s_0 sends the all-ones simplex to the all-zero one.  The all-ones simplex
+    lies below every simplex, so each pair (ones, y) whose image of y is not
+    the all-zero simplex is a violation."""
+    here = enumerate_level(2)
+    ones, zero = max(here, key=lambda x: x.bits), min(here, key=lambda x: x.bits)
+
+    def broken_act(xi, x):
+        y = act(xi, x)
+        return LaxMatrix(y.n, 0) if xi == delta.degeneracy(0, 2) and x == ones else y
+
+    monkeypatch.setattr(tamari, "act", broken_act)
+    report = order_probe(2)
+    assert not report.inclusion_ok
+    assert report.inclusion_violations == tuple(
+        ("s_0", ones, y) for y in here if y not in (ones, zero)
+    )
+    assert "VIOLATED (3 pairs)" in report.summary()
+    assert cli.main(["order-probe", "--n", "2"]) == 1
+    assert "VIOLATED (3 pairs)" in capsys.readouterr().out
