@@ -64,14 +64,19 @@ def _pairs_of_rows(rows: tuple) -> frozenset:
 class _PairEdge:
     """Where pairs meet rows, for both relation types: the ``pairs`` view,
     and ``_make`` (so ``_replace``), copy and pickle rebuilding through the
-    pairs constructor, so that no way in skips its grid check."""
+    pairs constructor, so that no way in skips its grid check.  ``_make``
+    also refuses rows that do not come back as given, such as a negative
+    or a missing row, with the type's ``_error``."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, fields):
         *tops, rows = fields
-        return cls(*tops, _pairs_of_rows(rows))
+        made = cls(*tops, _pairs_of_rows(rows))
+        if made.rows != tuple(rows):
+            raise cls._error(f"rows {tuple(rows)} do not fit the grid; they read as {made.rows}")
+        return made
 
     def __getnewargs__(self):
         return (*self[:-1], self.pairs)
@@ -96,9 +101,10 @@ class InterpolativeRelation(_PairEdge, _RelationFields):
     """
 
     __slots__ = ()
+    _error = NotInterpolativeError
 
     def __new__(cls, n: int, pairs: Iterable[tuple[int, int]]):
-        return tuple.__new__(cls, (n, _rows_from_pairs(pairs, n, n, NotInterpolativeError)))
+        return tuple.__new__(cls, (n, _rows_from_pairs(pairs, n, n, cls._error)))
 
 
 class _IdealFields(NamedTuple):
@@ -119,9 +125,10 @@ class IdealRelation(_PairEdge, _IdealFields):
     """
 
     __slots__ = ()
+    _error = NotAnIdealError
 
     def __new__(cls, m_top: int, n_top: int, pairs: Iterable[tuple[int, int]]):
-        rows = _rows_from_pairs(pairs, n_top, m_top, NotAnIdealError)
+        rows = _rows_from_pairs(pairs, n_top, m_top, cls._error)
         return tuple.__new__(cls, (m_top, n_top, rows))
 
 

@@ -354,10 +354,19 @@ def _maps(m: int, n: int) -> tuple[MonotoneMap, ...]:
     return tuple(delta.all_maps(m, n))
 
 
-def naturality_failures(f: TruncatedMap) -> list[tuple[MonotoneMap, Code]]:
-    """Every monotone map with endpoints <= r is replayed against f's table:
-    the pairs (xi, x) with f(act(xi, x)) != act(xi, f(x)), in order of n, m,
-    xi and x.
+def _generators(m: int, n: int) -> tuple[MonotoneMap, ...]:
+    """The faces [m] -> [n] when m = n - 1, the degeneracies when m = n + 1,
+    and nothing otherwise."""
+    if m == n - 1:
+        return tuple(delta.face(i, n) for i in range(n + 1))
+    if m == n + 1:
+        return tuple(delta.degeneracy(i, n) for i in range(n + 1))
+    return ()
+
+
+def _replay(f: TruncatedMap, maps_between) -> list[tuple[MonotoneMap, Code]]:
+    """The pairs (xi, x) with f(act(xi, x)) != act(xi, f(x)), for xi in
+    ``maps_between(m, n)`` over all m, n <= r, in order of n, m, xi and x.
 
     The images of each level are interned to ids.  The source side is read
     as positions from ``X.act_index``; the target acts once per distinct
@@ -376,12 +385,19 @@ def naturality_failures(f: TruncatedMap) -> list[tuple[MonotoneMap, Code]]:
         xs, source_ids, distinct = X.level(n), image_ids[n], tuple(ids[n])
         for m in range(r + 1):
             ids_m, target_ids = ids[m], image_ids[m]
-            for xi in _maps(m, n):
+            for xi in maps_between(m, n):
                 moved = [ids_m.get(Y.act(xi, y), -1) for y in distinct]
                 for k, j in enumerate(X.act_index(xi)):
                     if moved[source_ids[k]] != target_ids[j]:
                         bad.append((xi, xs[k]))
     return bad
+
+
+def naturality_failures(f: TruncatedMap) -> list[tuple[MonotoneMap, Code]]:
+    """Every monotone map with endpoints <= r is replayed against f's table:
+    the pairs (xi, x) with f(act(xi, x)) != act(xi, f(x)), in order of n, m,
+    xi and x.  The search checks the generators only; this is its oracle."""
+    return _replay(f, _maps)
 
 
 def enumerate_truncated_maps(
@@ -395,8 +411,14 @@ def enumerate_truncated_maps(
     (naturality forces the degenerate ones), from ``Y.fillers`` of the
     images of their faces, read through a ``TruncatedMap`` over the partial
     assignment; ``rejections`` holds the candidates a scanning
-    ``Y.fillers`` pruned.  Every completed assignment is then re-checked
-    against every monotone map with endpoints <= r.
+    ``Y.fillers`` pruned.
+
+    Every completed assignment is then re-checked against the faces and
+    degeneracies with endpoints <= r, which is naturality against every
+    monotone map with endpoints <= r as long as X and Y act functorially:
+    each xi : [m] -> [n] is degeneracies followed by faces, through
+    ordinals no larger than max(m, n), so f commutes with xi one generator
+    at a time.  ``naturality_failures`` replays every map as the oracle.
     """
     X._check_level(r)
     Y._check_level(r)
@@ -425,7 +447,7 @@ def enumerate_truncated_maps(
 
     rec(0)
     for f in maps:
-        bad = naturality_failures(f)
+        bad = _replay(f, _generators)
         if bad:
             xi, x = bad[0]
             raise AssertionError(

@@ -31,7 +31,7 @@ def epi_mono_indices(
     """Generator indices factoring xi, as (degeneracies, faces) in application order.
 
     Each entry is a pair (i, level) naming sigma_i : [level+1] -> [level] or
-    delta_i : [level] -> [level+1].  Applying all degeneracies first and then
+    delta_i : [level-1] -> [level].  Applying all degeneracies first and then
     all faces reproduces xi.
     """
     values = list(xi.values)

@@ -402,3 +402,14 @@ def test_make_and_replace_check_like_the_constructor():
     same = rel._replace(n=2)
     assert type(same) is InterpolativeRelation and same == rel
     assert InterpolativeRelation._make(rel) == rel
+
+
+def test_make_refuses_rows_that_do_not_come_back():
+    """A negative row reads as other bits and a short row tuple as padded
+    with empty rows; ``_make`` and ``_replace`` refuse both."""
+    with pytest.raises(NotAnIdealError, match=re.escape("rows (-1, 2) do not fit")):
+        identity_ideal(1)._replace(rows=(-1, 2))
+    with pytest.raises(NotInterpolativeError, match=re.escape("rows (-2, 3) do not fit")):
+        InterpolativeRelation._make((1, (-2, 3)))
+    with pytest.raises(NotAnIdealError, match=re.escape("rows (3,) do not fit")):
+        identity_ideal(1)._replace(rows=(3,))

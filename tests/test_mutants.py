@@ -1,7 +1,7 @@
 """Every law check of the validators, the associativity inequality of the
-skew-monoidale census and each row-law check of the relation and ideal
-models is needed: cutting any one of them from a copy of the package makes
-the tests that pin it fail.
+skew-monoidale census, each row-law check of the relation and ideal models
+and the map search's naturality check is needed: cutting any one of them
+from a copy of the package makes the tests that pin it fail.
 
 Each mutant is a (module, exact source snippet, test modules) triple; the
 snippet is cut from a fresh copy of ``src/`` and the named test modules run
@@ -21,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 LAWS = ("tests/test_posets_bicats.py", "tests/test_classify.py")
 MODELS = ("tests/test_models.py",)
+SSET = ("tests/test_sset.py",)
 
 MUTANTS = {
     "order reflexive": (
@@ -172,6 +173,16 @@ MUTANTS = {
         '        raise MissingIdentityIdealError("identity ideal not contained")\n',
         MODELS,
     ),
+    "map search naturality": (
+        "sset.py",
+        "        if bad:\n"
+        "            xi, x = bad[0]\n"
+        "            raise AssertionError(\n"
+        '                f"enumerated map fails naturality at {xi} on {x!r}; "\n'
+        '                "face-consistent assignments must extend naturally"\n'
+        "            )\n",
+        SSET,
+    ),
 }
 
 
@@ -202,7 +213,7 @@ def _run_targets(
 
 @pytest.mark.slow
 def test_the_uncut_copy_passes(tmp_path):
-    proc = _run_targets(tmp_path, "posets.py", "", LAWS + MODELS)
+    proc = _run_targets(tmp_path, "posets.py", "", LAWS + MODELS + SSET)
     assert proc.returncode == 0, proc.stdout[-2000:]
 
 

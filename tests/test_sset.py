@@ -1,9 +1,10 @@
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catalan_sset import delta
+from catalan_sset import delta, sset
 from catalan_sset.bicats import embed
 from catalan_sset.catalan import CatalanSet, LaxMatrix, lax_from_bits
 from catalan_sset.errors import LevelOutOfRangeError
@@ -19,6 +20,8 @@ from catalan_sset.nerve import (
 from catalan_sset.sset import (
     Boundary,
     TruncatedMap,
+    _generators,
+    _replay,
     boundary_of,
     compatible_boundaries,
     coskeletal_filler_report,
@@ -27,7 +30,12 @@ from catalan_sset.sset import (
     is_compatible_boundary,
     naturality_failures,
 )
-from fixtures_sset import PointSimplicialSet, TableSimplicialSet, suite_nerves
+from fixtures_sset import (
+    PointSimplicialSet,
+    TableSimplicialSet,
+    epi_mono_indices,
+    suite_nerves,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +150,69 @@ def test_contravariant_functoriality_exhaustive_to_level_five(c5):
                             assert c5.act(comp, x) == c5.act(zeta, c5.act(xi, x))
 
 
+def _maps_to_level_four():
+    return [xi for m in range(5) for n in range(5) for xi in delta.all_maps(m, n)]
+
+
+def _acting_generators(xi):
+    """The generators of xi's epi-mono factorisation in the order they act
+    on a simplex: the last face first and the first degeneracy last."""
+    degs, faces = epi_mono_indices(xi)
+    return [delta.face(i, lvl) for i, lvl in reversed(faces)] + [
+        delta.degeneracy(i, lvl) for i, lvl in reversed(degs)
+    ]
+
+
+def test_act_indices_compose_along_the_generators(c4):
+    """Functoriality on every map with tops <= 4, in the form the map
+    search relies on when it checks naturality on the generators only."""
+    maps = _maps_to_level_four()
+    assert len(maps) == 456
+    for xi in maps:
+        positions = range(len(c4.level(xi.codomain_top)))
+        for g in _acting_generators(xi):
+            index = c4.act_index(g)
+            positions = [index[k] for k in positions]
+        assert tuple(positions) == c4.act_index(xi), xi
+
+
+class _IdentityLabels(dict):
+    def __missing__(self, o):
+        return f"id({o})"
+
+
+def _label(prefix, subset):
+    return prefix + "".join(map(str, subset))
+
+
+def _vertices(n):
+    return tuple((v,) for v in range(n + 1))
+
+
+def test_nerve_act_composes_along_the_generators():
+    """Both nerves over a stand-in input, on one simplex per level whose
+    objects, cells, identities and unit are all distinct labels.  ``act``
+    only gathers labels and looks up identities, so every simplex of every
+    input is a relabelling of this one, and functoriality here is
+    functoriality everywhere."""
+    stand_in = SimpleNamespace(objects=(), identities=_IdentityLabels(), unit_object="I")
+    for X, object_sets, cell_sets in (
+        (MonoidalNerve(stand_in, validate=False), intervals, triples),
+        (BicatNerve(stand_in, validate=False), _vertices, intervals),
+    ):
+        for xi in _maps_to_level_four():
+            n = xi.codomain_top
+            x = X.simplex(
+                n,
+                tuple(_label("o", s) for s in object_sets(n)),
+                tuple(_label("c", s) for s in cell_sets(n)),
+            )
+            y = x
+            for g in _acting_generators(xi):
+                y = X.act(g, y)
+            assert y == X.act(xi, x), (type(X).__name__, xi)
+
+
 # -- identity harness ---------------------------------------------------------
 
 
@@ -210,6 +281,30 @@ def test_rejection_witnesses_are_real(c4):
     for w in enum.rejections[:50]:
         assert c4.face(w.face_index, w.level, w.candidate) == w.found
         assert w.found != w.required
+
+
+class _EveryFiller(CatalanSet):
+    """The Catalan set with ``fillers`` that offer the whole level, whatever
+    faces the search requires."""
+
+    def fillers(self, n, entries, pruned=None):
+        return list(self.level(n))
+
+
+def test_the_search_refuses_a_map_that_is_not_natural():
+    with pytest.raises(AssertionError, match="fails naturality"):
+        enumerate_truncated_maps(CatalanSet(2), _EveryFiller(2), 2)
+
+
+def test_the_search_replays_only_the_generators(monkeypatch):
+    built = []
+    maps = sset._maps
+    monkeypatch.setattr(sset, "_maps", lambda m, n: built.append((m, n)) or maps(m, n))
+    X = CatalanSet(4)
+    enum = enumerate_truncated_maps(X, MonoidalNerve(embed(load_suite("chain3-max"))), 4)
+    assert len(enum.maps) == 3
+    assert built == []
+    assert len(X._act_indices) == 14 + 10  # the faces and degeneracies at r = 4
 
 
 def _full_table(f):
@@ -437,6 +532,7 @@ def test_replay_equals_the_table_oracle_on_every_found_map(found_maps):
     assert len(found_maps) == 25
     for name, f in found_maps:
         assert naturality_failures(f) == _replay_by_table(f) == [], name
+        assert _replay(f, _generators) == [], name
 
 
 def _other_simplices(Y, n):
@@ -471,6 +567,8 @@ def test_replay_equals_the_table_oracle_on_corrupted_maps(corrupted_maps):
         bad = naturality_failures(g)
         assert bad, (name, n)
         assert bad == _replay_by_table(g), (name, n)
+        on_generators = _replay(g, _generators)
+        assert on_generators and set(on_generators) <= set(bad), (name, n)
 
 
 def _assert_reads_through_the_decomposition(name, f):
