@@ -196,12 +196,6 @@ def enumerate_level(n: int) -> tuple[LaxMatrix, ...]:
     return _ballot_level(n, nondegenerate=False)
 
 
-@lru_cache(maxsize=None)
-def _level_positions(n: int) -> dict[int, int]:
-    """The position in ``enumerate_level(n)`` of each simplex, by its bits."""
-    return {x.bits: k for k, x in enumerate(enumerate_level(n))}
-
-
 def level_count(n: int) -> int:
     """The number of simplices at a level: the ballot walk's leaves, counted
     a chunk at a time from its suffix tables, so no leaf is built and no
@@ -226,22 +220,17 @@ def _act_table(xi: MonotoneMap) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _act_bits(table: tuple[tuple[int, int], ...], src: int) -> int:
-    """The packed bits of a pulled-back simplex, from the source's bits."""
-    bits = 0
-    for shift, bit in table:
-        if src >> shift & 1:
-            bits |= bit
-    return bits
-
-
 def act(xi: MonotoneMap, x: LaxMatrix) -> LaxMatrix:
     """Pull back a simplex along a monotone map (contravariant action)."""
     if xi.codomain_top != x.n:
         raise DomainMismatchError(
             f"map into [{xi.codomain_top}] cannot act on a level-{x.n} simplex"
         )
-    return tuple.__new__(LaxMatrix, (xi.domain_top, _act_bits(_act_table(xi), x.bits)))
+    src, bits = x.bits, 0
+    for shift, bit in _act_table(xi):
+        if src >> shift & 1:
+            bits |= bit
+    return tuple.__new__(LaxMatrix, (xi.domain_top, bits))
 
 
 def catalan_number(m: int) -> int:
@@ -300,12 +289,3 @@ class CatalanSet(sset.TruncatedSimplicialSet):
         self._check_level(xi.codomain_top)
         self._check_level(xi.domain_top)
         return act(xi, x)
-
-    def _act_positions(self, xi: MonotoneMap) -> tuple[int, ...]:
-        """Positions looked up by the pulled-back bits: no ``LaxMatrix`` is built."""
-        self._check_level(xi.domain_top)
-        table = _act_table(xi)
-        position = _level_positions(xi.domain_top)
-        return tuple(
-            position[_act_bits(table, x.bits)] for x in self.level(xi.codomain_top)
-        )

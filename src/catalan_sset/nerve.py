@@ -139,7 +139,7 @@ class _NerveSimplex(NamedTuple):
     order.  A tuple of its fields, so hashing, equality and field reads run
     in C; it equals the plain tuple ``(n, objects, cells)``, and so a
     monoidal and a plain nerve simplex with the same fields are equal.  No
-    level, face table, image table or id dict holds both kinds."""
+    level, face table, image list or position dict holds both kinds."""
 
     n: int
     objects: tuple[str, ...]
@@ -232,10 +232,12 @@ class _PosetalNerve(TruncatedSimplicialSet):
         return tuple(results)
 
     def contains(self, x: _NerveSimplex) -> bool:
-        """Whether x is a simplex: known objects, every cell in its hom, and
-        every inequality."""
+        """Whether x is a simplex: a level >= 0, known objects, every cell in
+        its hom, and every inequality."""
         r, n = self.rank, x.n
         objs, cells = x.objects, x.cells
+        if n < 0:
+            return False
         if len(objs) != len(_subsets(n, r)) or len(cells) != len(_subsets(n, r + 1)):
             return False
         if not all(o in self._objects for o in objs):

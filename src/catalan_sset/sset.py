@@ -1,7 +1,8 @@
 """Truncated simplicial sets and the generic machinery over them.
 
 A concrete simplicial set implements ``_enumerate`` and ``act``; the
-memoised levels, face tables and act indices, faces, degeneracies, the one
+memoised levels and act indices (the one memo of the action, read by the
+face tables and the naturality replay), faces, degeneracies, the one
 degeneracy rule (``degeneracy_index``, read by the degeneracy test and by
 truncated maps), boundary and filler search, the simplicial-identity
 harness and the enumeration of truncated simplicial maps are all derived
@@ -66,28 +67,26 @@ class TruncatedSimplicialSet:
         return self._levels[n]
 
     def face_table(self, n: int) -> tuple[tuple[Code, ...], ...]:
-        """Row k holds the faces d_0..d_n of ``level(n)[k]``, computed once by
-        ``face``; each is replaced by the equal object of ``level(n-1)`` if any."""
+        """Row k holds the faces d_0..d_n of ``level(n)[k]`` as objects of
+        ``level(n-1)``: the act indices of the n + 1 face maps, transposed."""
         self._check_level(n, low=1)
         if n not in self._face_tables:
-            canon = {y: y for y in self.level(n - 1)}
-            rows = []
-            for x in self.level(n):
-                faces = (self.face(i, n, x) for i in range(n + 1))
-                rows.append(tuple(canon.get(f, f) for f in faces))
-            self._face_tables[n] = tuple(rows)
+            cells = self.level(n - 1)
+            columns = [self.act_index(delta.face(i, n)) for i in range(n + 1)]
+            self._face_tables[n] = tuple(
+                tuple(cells[j] for j in row) for row in zip(*columns)
+            )
         return self._face_tables[n]
 
     def act_index(self, xi: MonotoneMap) -> tuple[int, ...]:
         """Entry k is the position in ``level(xi.domain_top)`` of ``act(xi, x)``
         for x = ``level(xi.codomain_top)[k]``, computed once per map."""
         if xi not in self._act_indices:
-            self._act_indices[xi] = self._act_positions(xi)
+            position = {y: k for k, y in enumerate(self.level(xi.domain_top))}
+            self._act_indices[xi] = tuple(
+                position[self.act(xi, x)] for x in self.level(xi.codomain_top)
+            )
         return self._act_indices[xi]
-
-    def _act_positions(self, xi: MonotoneMap) -> tuple[int, ...]:
-        position = {y: k for k, y in enumerate(self.level(xi.domain_top))}
-        return tuple(position[self.act(xi, x)] for x in self.level(xi.codomain_top))
 
     def fillers(self, n: int, entries: tuple, pruned: list | None = None) -> list[Code]:
         """The simplices of ``level(n)`` whose faces d_0..d_n are ``entries``.
@@ -368,27 +367,20 @@ def _replay(f: TruncatedMap, maps_between) -> list[tuple[MonotoneMap, Code]]:
     """The pairs (xi, x) with f(act(xi, x)) != act(xi, f(x)), for xi in
     ``maps_between(m, n)`` over all m, n <= r, in order of n, m, xi and x.
 
-    The images of each level are interned to ids.  The source side is read
-    as positions from ``X.act_index``; the target acts once per distinct
-    image and its result is interned into the ids of its level, -1 when it
-    is no image there, so each comparison is between two ints.
+    f is read once per simplex.  The source side is read as positions from
+    ``X.act_index``; the target acts once per distinct image and map.
     """
     X, Y, r = f.source, f.target, f.r
-    ids: list[dict[Code, int]] = []  # image -> id, per level
-    image_ids: list[list[int]] = []  # the id of f(x), per level and position
-    for n in range(r + 1):
-        ids_n: dict[Code, int] = {}
-        image_ids.append([ids_n.setdefault(f(n, x), len(ids_n)) for x in X.level(n)])
-        ids.append(ids_n)
+    images = [[f(n, x) for x in X.level(n)] for n in range(r + 1)]
     bad = []
     for n in range(r + 1):
-        xs, source_ids, distinct = X.level(n), image_ids[n], tuple(ids[n])
+        xs, row = X.level(n), images[n]
+        distinct = dict.fromkeys(row)
         for m in range(r + 1):
-            ids_m, target_ids = ids[m], image_ids[m]
             for xi in maps_between(m, n):
-                moved = [ids_m.get(Y.act(xi, y), -1) for y in distinct]
+                moved = {y: Y.act(xi, y) for y in distinct}
                 for k, j in enumerate(X.act_index(xi)):
-                    if moved[source_ids[k]] != target_ids[j]:
+                    if moved[row[k]] != images[m][j]:
                         bad.append((xi, xs[k]))
     return bad
 

@@ -1,7 +1,8 @@
 """Every law check of the validators, the associativity inequality of the
-skew-monoidale census, each row-law check of the relation and ideal models
-and the map search's naturality check is needed: cutting any one of them
-from a copy of the package makes the tests that pin it fail.
+skew-monoidale census, each row-law check of the relation and ideal models,
+the map search's naturality check and the comparison in the replay behind
+it is needed: cutting any one of them from a copy of the package makes the
+tests that pin it fail.
 
 Each mutant is a (module, exact source snippet, test modules) triple; the
 snippet is cut from a fresh copy of ``src/`` and the named test modules run
@@ -181,6 +182,12 @@ MUTANTS = {
         '                f"enumerated map fails naturality at {xi} on {x!r}; "\n'
         '                "face-consistent assignments must extend naturally"\n'
         "            )\n",
+        SSET,
+    ),
+    # with the comparison cut, the replay reports every pair it visits
+    "replay comparison": (
+        "sset.py",
+        "if moved[row[k]] != images[m][j]:\n" + " " * 24,
         SSET,
     ),
 }

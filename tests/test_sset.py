@@ -482,6 +482,15 @@ def test_contains_is_membership_at_low_levels(face_table_spaces):
             assert accepted == members, (name, n)
 
 
+def test_contains_refuses_a_negative_level():
+    for X, make in (
+        (MonoidalNerve(embed(load_suite("or2"))), MonoidalNerveSimplex),
+        (BicatNerve(load_suite("chain2-discrete")), BicatNerveSimplex),
+    ):
+        for n in (-1, -3):
+            assert not X.contains(make(n, (), ())), (X.rank, n)
+
+
 def test_map_search_into_a_nerve_records_only_scanned_levels():
     for X in (
         MonoidalNerve(embed(load_suite("chain3-max"))),
