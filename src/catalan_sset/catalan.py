@@ -203,20 +203,38 @@ def level_count(n: int) -> int:
     return sum(len(table) for _, table in _ballot_leaves(n, nondegenerate=False))
 
 
+_CHUNK = 5  # source bits read per table lookup in ``act``
+_CHUNK_MASK = (1 << _CHUNK) - 1
+
+
 @lru_cache(maxsize=None)
-def _act_table(xi: MonotoneMap) -> tuple[tuple[int, int], ...]:
-    """One (shift, bit) pair per interval (p, q) of the domain that xi keeps
-    apart: the source bit of (xi(p), xi(q)) sits ``shift`` places up, and
-    ``bit`` is the place of (p, q) in the pulled-back simplex.  Collapsed
-    intervals get no pair, so they read 0."""
+def _chunk_table(lands: tuple[int, ...]) -> tuple[int, ...]:
+    """The 32-entry table of one run of source bits: ``lands[b]`` is the OR of
+    the pulled-back bits that bit b of the run lands on, and entry c is the
+    OR of ``lands[b]`` over the set bits b of c.  Cached on the landing bits,
+    so maps that share a run share its table."""
+    table = [0]
+    for land in lands:
+        table += [t | land for t in table]
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _act_table(xi: MonotoneMap) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The domain top and one ``_chunk_table`` per run of ``_CHUNK`` source
+    bits, lowest bits first.  Interval (p, q) of the domain lands on the
+    source bit of (xi(p), xi(q)) when xi keeps it apart; collapsed
+    intervals land nowhere, so they read 0."""
     m, n = xi.domain_top, xi.codomain_top
     count_m, count_n = m * (m + 1) // 2, n * (n + 1) // 2
     idx_n = interval_index(n)
     v = xi.values
-    return tuple(
-        (count_n - 1 - idx_n[(v[p], v[q])], 1 << (count_m - 1 - k))
-        for k, (p, q) in enumerate(intervals(m))
-        if v[p] < v[q]
+    lands = [0] * (count_n + _CHUNK - 1)  # zero-padded, so every run is full
+    for k, (p, q) in enumerate(intervals(m)):
+        if v[p] < v[q]:
+            lands[count_n - 1 - idx_n[(v[p], v[q])]] |= 1 << (count_m - 1 - k)
+    return m, tuple(
+        _chunk_table(tuple(lands[i:i + _CHUNK])) for i in range(0, count_n, _CHUNK)
     )
 
 
@@ -226,11 +244,12 @@ def act(xi: MonotoneMap, x: LaxMatrix) -> LaxMatrix:
         raise DomainMismatchError(
             f"map into [{xi.codomain_top}] cannot act on a level-{x.n} simplex"
         )
+    m, tables = _act_table(xi)
     src, bits = x.bits, 0
-    for shift, bit in _act_table(xi):
-        if src >> shift & 1:
-            bits |= bit
-    return tuple.__new__(LaxMatrix, (xi.domain_top, bits))
+    for table in tables:
+        bits |= table[src & _CHUNK_MASK]
+        src >>= _CHUNK
+    return tuple.__new__(LaxMatrix, (m, bits))
 
 
 def catalan_number(m: int) -> int:

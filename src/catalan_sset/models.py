@@ -133,24 +133,30 @@ class IdealRelation(_PairEdge, _IdealFields):
 
 
 @lru_cache(maxsize=None)
-def _gather_table(values: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """For a monotone map with these values into [n]: each row mask over [n]
-    sent to the mask of its preimage over the domain."""
-    fibre = [0] * (n + 1)
-    for p, v in enumerate(values):
+def _row_reader(k: int):
+    """``read(r, t, v)``, the tuple of ``t[r[v[p]]]`` for p < k, unrolled
+    once per row count k.  The source is built from integers only."""
+    names = "".join(f"v{p}, " for p in range(k))
+    slots = "".join(f"t[r[v{p}]], " for p in range(k))
+    scope: dict = {}
+    exec(f"def read(r, t, v):\n    {names}= v\n    return ({slots})\n", scope)
+    return scope["read"]
+
+
+@lru_cache(maxsize=None)
+def _gather(xi: MonotoneMap):
+    """``(domain_top, read, table, values)`` for pulling rows back along xi:
+    ``read(rows, table, values)`` gives the rows of the pairs (p, q) whose
+    image (xi(p), xi(q)) lies in ``rows``, row p being the preimage of row
+    xi(p).  ``table`` sends each row mask over the codomain to the mask of
+    its preimage over the domain."""
+    fibre = [0] * (xi.codomain_top + 1)
+    for p, v in enumerate(xi.values):
         fibre[v] |= 1 << p
-    table = [0] * (1 << (n + 1))
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] | fibre[low.bit_length() - 1]
-    return tuple(table)
-
-
-def _gather(xi: MonotoneMap, rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Rows of the pairs (p, q) whose image (xi(p), xi(q)) lies in ``rows``:
-    row p is the preimage of row xi(p)."""
-    table = _gather_table(xi.values, xi.codomain_top)
-    return tuple([table[rows[v]] for v in xi.values])
+    table = [0]
+    for f in fibre:
+        table += [t | f for t in table]
+    return xi.domain_top, _row_reader(len(xi.values)), tuple(table), xi.values
 
 
 # -- interpolative relations ----------------------------------------------
@@ -195,7 +201,8 @@ def relation_to_lax(rel: InterpolativeRelation) -> LaxMatrix:
 def relation_pullback(xi: MonotoneMap, rel: InterpolativeRelation) -> InterpolativeRelation:
     if xi.codomain_top != rel.n:
         raise ShapeMismatchError("pullback endpoints do not match")
-    return tuple.__new__(InterpolativeRelation, (xi.domain_top, _gather(xi, rel.rows)))
+    m, read, table, values = _gather(xi)
+    return tuple.__new__(InterpolativeRelation, (m, read(rel.rows, table, values)))
 
 
 # -- square ideals ---------------------------------------------------------
@@ -277,8 +284,8 @@ def ideal_pullback(xi: MonotoneMap, b: IdealRelation) -> IdealRelation:
     """Inverse image of a square ideal along a monotone map."""
     if b.m_top != b.n_top or xi.codomain_top != b.n_top:
         raise ShapeMismatchError("pullback needs a square ideal at the map's target")
-    m = xi.domain_top
-    return tuple.__new__(IdealRelation, (m, m, _gather(xi, b.rows)))
+    m, read, table, values = _gather(xi)
+    return tuple.__new__(IdealRelation, (m, m, read(b.rows, table, values)))
 
 
 def enumerate_square_ideals(n: int) -> tuple[IdealRelation, ...]:

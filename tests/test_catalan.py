@@ -223,7 +223,7 @@ def test_act_endpoint_mismatch():
 
 def _act_by_intervals(xi, x):
     """The pullback tested one source bit per interval of the domain: the
-    oracle for the (shift, bit) pairs of ``act``."""
+    oracle for the run tables of ``act``."""
     m, n = xi.domain_top, xi.codomain_top
     count_m, count_n = m * (m + 1) // 2, n * (n + 1) // 2
     idx_n = interval_index(n)
@@ -235,16 +235,41 @@ def _act_by_intervals(xi, x):
     return LaxMatrix(m, bits)
 
 
-def test_act_equals_the_interval_loop_on_every_model_square():
+def _act_squares_against_the_interval_loop(top):
+    """Compare ``act`` with the oracle on every map and simplex at levels
+    <= top; return the number of squares compared."""
     checked = 0
-    for n in range(6):
+    for n in range(top + 1):
         level = enumerate_level(n)
-        for m in range(6):
+        for m in range(top + 1):
             for xi in delta.all_maps(m, n):
                 for x in level:
                     assert act(xi, x) == _act_by_intervals(xi, x), (str(xi), x)
                     checked += 1
-    assert checked == 144_599
+    return checked
+
+
+def test_act_equals_the_interval_loop_on_every_model_square():
+    assert _act_squares_against_the_interval_loop(5) == 144_599
+
+
+@pytest.mark.slow
+def test_act_equals_the_interval_loop_exhaustively_at_level_six():
+    assert _act_squares_against_the_interval_loop(6) == 1_736_779
+
+
+@given(st.data())
+def test_act_equals_the_interval_loop_on_wide_levels(data):
+    # 21..105 source bits, so 5..21 runs of five, the last one partial at
+    # every n but 9, 10 and 14; the bits are drawn unconstrained, stray
+    # bits above the level included, since the oracle reads only its own
+    n = data.draw(st.integers(min_value=6, max_value=14))
+    m = data.draw(st.integers(min_value=0, max_value=14))
+    values = sorted(data.draw(st.lists(st.integers(0, n), min_size=m + 1, max_size=m + 1)))
+    xi = delta.MonotoneMap(m, n, tuple(values))
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << (n * (n + 1) // 2 + 7)) - 1))
+    x = LaxMatrix(n, bits)
+    assert act(xi, x) == _act_by_intervals(xi, x)
 
 
 def test_act_index_is_the_position_of_each_action():

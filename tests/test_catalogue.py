@@ -1,8 +1,13 @@
+import importlib
+
 import pytest
 
 from catalan_sset import delta
 from catalan_sset.catalan import CatalanSet, act, lax_from_bits
-from catalan_sset.catalogue import catalogue, face_label, named, verify_catalogue
+from catalan_sset.catalogue import NamedSimplex, catalogue, face_label, named, verify_catalogue
+
+# the package's lazy ``catalogue`` name is the function, not the module
+catalogue_module = importlib.import_module("catalan_sset.catalogue")
 
 
 def test_counts_per_level():
@@ -56,6 +61,29 @@ def test_face_label_rendering():
 def test_verify_catalogue_passes():
     report = verify_catalogue()
     assert report.ok, report.summary()
+
+
+def test_verify_catalogue_reports_a_wrong_recorded_face(monkeypatch):
+    entries = tuple(
+        ns._replace(faces=(("star", (0,)),) + ns.faces[1:]) if ns.name == "t" else ns
+        for ns in catalogue()
+    )
+    monkeypatch.setattr(catalogue_module, "catalogue", lambda: entries)
+    report = verify_catalogue()
+    assert not report.ok
+    assert report.mismatches == ("t: d_0 is Lax(1:1), recorded s_0(star) = Lax(1:0)",)
+
+
+def test_verify_catalogue_reports_a_degenerate_entry(monkeypatch):
+    # no recorded faces, so only the census comparison can see it
+    degenerate = act(delta.degeneracy(0, 1), named("c").matrix)
+    entries = catalogue() + (NamedSimplex("s0c", 2, (), degenerate),)
+    monkeypatch.setattr(catalogue_module, "catalogue", lambda: entries)
+    report = verify_catalogue()
+    assert not report.ok
+    assert report.mismatches == (
+        "level 2: named entries differ from the non-degenerate simplices",
+    )
 
 
 def test_unknown_name_raises():

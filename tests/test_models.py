@@ -276,6 +276,18 @@ def test_pullbacks_match_the_pair_oracle_to_level_four():
                     )
 
 
+def test_the_generated_row_reader_reads_through_both_tables():
+    # no entry of r or t is its own index, so a slot that skips either
+    # lookup reads a different value
+    r = tuple((7 * v + 3) % 64 for v in range(16))
+    t = tuple(1000 + w for w in range(64))
+    for k in range(1, 16):
+        values = tuple((5 * p + k) % 16 for p in range(k))
+        read = models._row_reader(k)
+        assert read(r, t, values) == tuple(t[r[v]] for v in values), k
+        assert models._row_reader(k) is read
+
+
 def _calculus_cases():
     """Every square ideal at n <= 3 and the adjoint ideals of every map with
     endpoints <= 3, grouped by shape."""

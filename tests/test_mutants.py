@@ -1,14 +1,18 @@
 """Every law check of the validators, the associativity inequality of the
 skew-monoidale census, each row-law check of the relation and ideal models,
 the map search's naturality check and the comparison in the replay behind
-it is needed: cutting any one of them from a copy of the package makes the
-tests that pin it fail.
+it, the length check of nerve membership and both checks of the catalogue's
+self-verification is needed, and so is each step of the two fast paths
+(the run tables of ``catalan.act`` and the generated row reader of the
+``models`` pullbacks): cutting any one of them from a copy of the package
+makes the tests that pin it fail.
 
-Each mutant is a (module, exact source snippet, test modules) triple; the
-snippet is cut from a fresh copy of ``src/`` and the named test modules run
-in a child process with that copy first on ``PYTHONPATH``.  A snippet that
-is no longer in its module fails the test, so the list cannot go stale
-silently.
+Each mutant is a (module, snippet, test modules) triple.  The snippet, an
+exact piece of source, is cut from a fresh copy of ``src/``, or, given as
+an (old, new) pair, old is replaced by new; then the named test modules
+run in a child process with that copy first on ``PYTHONPATH``.  A snippet
+that is no longer in its module fails the test, so the list cannot go
+stale silently.
 """
 
 import os
@@ -23,6 +27,9 @@ ROOT = Path(__file__).resolve().parents[1]
 LAWS = ("tests/test_posets_bicats.py", "tests/test_classify.py")
 MODELS = ("tests/test_models.py",)
 SSET = ("tests/test_sset.py",)
+CATALAN = ("tests/test_catalan.py",)
+NERVE = ("tests/test_nerve.py",)
+CATALOGUE = ("tests/test_catalogue.py",)
 
 MUTANTS = {
     "order reflexive": (
@@ -190,21 +197,56 @@ MUTANTS = {
         "if moved[row[k]] != images[m][j]:\n" + " " * 24,
         SSET,
     ),
+    "nerve contains: lengths": (
+        "nerve.py",
+        "        if len(objs) != len(_subsets(n, r)) or len(cells) != len(_subsets(n, r + 1)):\n"
+        "            return False\n",
+        NERVE,
+    ),
+    "catalogue: recorded faces": (
+        "catalogue.py",
+        "            if got != want:\n"
+        "                mismatches.append(\n"
+        '                    f"{ns.name}: d_{idx} is {got!r}, recorded {face_label(ref)} = {want!r}"\n'
+        "                )\n",
+        CATALOGUE,
+    ),
+    "catalogue: each level is the non-degenerate census": (
+        "catalogue.py",
+        "    for level, entries in by_level.items():\n"
+        "        if entries != set(census.nondegenerate(level)):\n"
+        "            mismatches.append(\n"
+        '                f"level {level}: named entries differ from the non-degenerate simplices"\n'
+        "            )\n",
+        CATALOGUE,
+    ),
+    # without the shift, every run table reads the lowest five source bits
+    "act: next run": ("catalan.py", "        src >>= _CHUNK\n", CATALAN),
+    # slot 0 of the reader reads the table at the map's value, not its row
+    "row reader: rows indirection": (
+        "models.py",
+        (
+            '(f"t[r[v{p}]], " for p in range(k))',
+            '(f"t[r[v{p}]], " if p else "t[v0], " for p in range(k))',
+        ),
+        MODELS,
+    ),
 }
 
 
 def _run_targets(
-    tmp_path, module: str, snippet: str, targets: tuple[str, ...]
+    tmp_path, module: str, snippet: str | tuple[str, str], targets: tuple[str, ...]
 ) -> subprocess.CompletedProcess:
     """Run the ``targets`` test modules on a copy of ``src/`` with ``snippet``
-    cut from ``module``."""
+    cut from ``module``, or replaced there when it is an (old, new) pair."""
     src = tmp_path / "src"
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
     path = src / "catalan_sset" / module
     text = path.read_text(encoding="utf-8")
-    if snippet:
-        assert text.count(snippet) == 1, f"snippet not found once in {module}: {snippet!r}"
-        text = text.replace(snippet, "")
+    old, new = (snippet, "") if isinstance(snippet, str) else snippet
+    if old:
+        assert text.count(old) == 1, f"snippet not found once in {module}: {old!r}"
+        text = text.replace(old, new)
         compile(text, str(path), "exec")  # a cut that breaks the syntax kills nothing
         path.write_text(text, encoding="utf-8")
     path_var = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -220,7 +262,9 @@ def _run_targets(
 
 @pytest.mark.slow
 def test_the_uncut_copy_passes(tmp_path):
-    proc = _run_targets(tmp_path, "posets.py", "", LAWS + MODELS + SSET)
+    proc = _run_targets(
+        tmp_path, "posets.py", "", LAWS + MODELS + SSET + CATALAN + NERVE + CATALOGUE
+    )
     assert proc.returncode == 0, proc.stdout[-2000:]
 
 

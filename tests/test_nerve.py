@@ -103,6 +103,21 @@ def test_plain_nerve_level_one_counts_order_pairs():
     assert len(nk.level(1)) == 3
 
 
+def test_contains_refuses_one_object_or_one_cell_too_few_or_too_many(or2_nerve):
+    # without the length check, a tuple too long, or a rank-2 simplex with
+    # no cell, passes every other check, and the rest raise IndexError
+    for X in (or2_nerve, BicatNerve(load_suite("chain2-discrete"))):
+        for x in X.level(2):
+            assert X.contains(x)
+            for wrong in (
+                x._replace(objects=x.objects[:-1]),
+                x._replace(objects=x.objects + x.objects[:1]),
+                x._replace(cells=x.cells[:-1]),
+                x._replace(cells=x.cells + x.cells[:1]),
+            ):
+                assert not X.contains(wrong), (X.rank, wrong)
+
+
 def test_degeneracy_of_an_edge_inserts_the_unit(or2_nerve):
     a = MonoidalNerveSimplex(1, ("1",), ())
     s0 = or2_nerve.degeneracy(0, 1, a)
