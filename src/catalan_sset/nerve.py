@@ -16,20 +16,18 @@ its faces, so a simplex is its boundary plus the inequalities: ``fillers``
 assembles the one candidate from the faces and keeps it when ``contains``
 accepts it, instead of scanning the level.
 
-Both nerves pull back along a monotone map through one cached restriction
-plan, ``_restriction``: the stored data is restricted, a collapsed
-interval's object is the unit (vertices never collapse) and a collapsed
-cell is the identity on the pulled-back object of its subset without the
-second vertex, which is exactly what strictness makes of the general
-degeneracy formulas.  ``act`` reads the plan as two ``itemgetter``
-gathers per map and rank, cached beside it.
+Both nerves pull back along a monotone map by one rule, cached per map
+and rank in ``_restriction``: a subset the map keeps reads the datum on
+its image; a collapsed object is the unit (vertices never collapse), and a
+collapsed cell is the identity on the pulled-back object of its subset
+without the second vertex, which is exactly what strictness makes of the
+general degeneracy formulas.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import delta
@@ -50,7 +48,6 @@ __all__ = [
     "BicatNerveSimplex",
     "MonoidalNerve",
     "BicatNerve",
-    "triples",
     "triple_index",
 ]
 
@@ -67,10 +64,6 @@ def _positions(n: int, size: int) -> dict[tuple[int, ...], int]:
     return {s: k for k, s in enumerate(_subsets(n, size))}
 
 
-def triples(n: int) -> tuple[tuple[int, int, int], ...]:
-    return _subsets(n, 3)
-
-
 def triple_index(n: int) -> dict[tuple[int, int, int], int]:
     return _positions(n, 3)
 
@@ -81,47 +74,27 @@ def _faces(s: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _restriction(xi: MonotoneMap) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Where each vertex, interval and triple of a simplex pulled back along
-    xi comes from, as three parts in storage order.
+def _restriction(xi: MonotoneMap, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where each object and each cell of a rank-``rank`` simplex pulled
+    back along xi comes from, as ``(objects_from, cells_from)`` in storage
+    order.
 
-    An entry is k, the position of the image subset among the source
-    simplex's subsets of its size, or ~k when xi collapses the subset, k
-    being the position in the pulled-back simplex of the subset without its
-    second vertex.  A rank-r nerve reads its objects from part r-1 and its
-    cells from part r.
+    The entry of a subset s is k, the position of its image among the
+    source simplex's subsets of its size, or ~k when xi collapses s, k
+    being the position of s without its second vertex, ``s[:1] + s[2:]``,
+    among the pulled-back simplex's subsets of one size less.
     """
-    v, m = xi.values, xi.domain_top
-    idx, tdx = interval_index(xi.codomain_top), triple_index(xi.codomain_top)
-    ints = tuple(idx[(v[p], v[q])] if v[p] < v[q] else ~p for (p, q) in intervals(m))
-    tris = tuple(
-        tdx[(v[p], v[q], v[r])] if v[p] < v[q] < v[r] else ~interval_index(m)[(p, r)]
-        for (p, q, r) in triples(m)
-    )
-    return v, ints, tris
+    v, m, n = xi.values, xi.domain_top, xi.codomain_top
 
+    def sources(size: int) -> tuple[int, ...]:
+        kept, collapsed = _positions(n, size), _positions(m, size - 1)
+        images = [tuple(v[p] for p in s) for s in _subsets(m, size)]
+        return tuple(
+            kept[image] if image in kept else ~collapsed[s[:1] + s[2:]]
+            for s, image in zip(_subsets(m, size), images)
+        )
 
-def _gather(positions: tuple[int, ...]):
-    """A function taking a tuple t to ``tuple(t[k] for k in positions)`` in
-    one ``itemgetter`` call; ``itemgetter`` returns a bare item for one
-    position and needs at least one, so those two cases are wrapped."""
-    if len(positions) == 1:
-        (k,) = positions
-        return lambda t: (t[k],)
-    return itemgetter(*positions) if positions else lambda t: ()
-
-
-@lru_cache(maxsize=None)
-def _plan(xi: MonotoneMap, rank: int):
-    """``_restriction`` as the gathers of a rank-``rank`` nerve's ``act``:
-    objects from ``x.objects`` followed by the unit, cells from ``x.cells``
-    followed by the identities of the pulled-back objects."""
-    parts, n = _restriction(xi), xi.codomain_top
-    unit = len(_subsets(n, rank))
-    width = len(_subsets(n, rank + 1))
-    objs = tuple(k if k >= 0 else unit for k in parts[rank - 1])
-    cells = tuple(k if k >= 0 else width + ~k for k in parts[rank])
-    return _gather(objs), _gather(cells)
+    return sources(rank), sources(rank + 1)
 
 
 def _merge(slots: list, sources, values) -> bool:
@@ -168,17 +141,17 @@ class BicatNerveSimplex(_NerveSimplex):
 class _PosetalNerve(TruncatedSimplicialSet):
     """The rank-``rank`` nerve: a subclass gives the rank, the simplex
     type, the hom of a cell and the inequality of an (rank+2)-subset.
-    ``units`` is what a collapsed object reads: the unit at rank 2, and
-    nothing at rank 1, where no object collapses."""
+    ``unit`` is what a collapsed object reads: the unit object at rank 2,
+    and None at rank 1, where no object collapses."""
 
     rank: int
     simplex: type
 
-    def __init__(self, bicat: PosetalBicat, top_level: int, units: tuple[str, ...]):
+    def __init__(self, bicat: PosetalBicat, top_level: int, unit: str | None):
         super().__init__(top_level)
         self._objects = bicat.objects
         self._identities = bicat.identities
-        self._units = units
+        self._unit = unit
 
     def _hom(self, objs, n: int, s: tuple[int, ...]) -> tuple[str, ...]:
         """The cells the (rank+1)-subset s may carry, given the objects."""
@@ -259,9 +232,9 @@ class _PosetalNerve(TruncatedSimplicialSet):
         objs: list = [None] * len(_subsets(n, r))
         cells: list = [None] * len(_subsets(n, r + 1))
         for i, face in enumerate(entries):
-            parts = _restriction(delta.face(i, n))
+            objs_from, cells_from = _restriction(delta.face(i, n), r)
             if not (
-                _merge(objs, parts[r - 1], face.objects) and _merge(cells, parts[r], face.cells)
+                _merge(objs, objs_from, face.objects) and _merge(cells, cells_from, face.cells)
             ):
                 return []
         x = self.simplex(n, tuple(objs), tuple(cells))
@@ -270,9 +243,10 @@ class _PosetalNerve(TruncatedSimplicialSet):
     def act(self, xi: MonotoneMap, x: _NerveSimplex) -> _NerveSimplex:
         if xi.codomain_top != x.n:
             raise DomainMismatchError("map endpoints do not match the simplex level")
-        objs_of, cells_of = _plan(xi, self.rank)
-        objs = objs_of(x.objects + self._units)
-        cells = cells_of(x.cells + tuple(map(self._identities.__getitem__, objs)))
+        objs_from, cells_from = _restriction(xi, self.rank)
+        unit, identities = self._unit, self._identities
+        objs = tuple([x.objects[k] if k >= 0 else unit for k in objs_from])
+        cells = tuple([x.cells[k] if k >= 0 else identities[objs[~k]] for k in cells_from])
         return tuple.__new__(self.simplex, (xi.domain_top, objs, cells))
 
 
@@ -285,7 +259,7 @@ class MonoidalNerve(_PosetalNerve):
     def __init__(self, b: PosetalMonoidalBicat, top_level: int = 4, validate: bool = True):
         if validate:
             require_valid(validate_monoidal_bicat(b))
-        super().__init__(b, top_level, (b.unit_object,))
+        super().__init__(b, top_level, b.unit_object)
         self.b = b
 
     def _hom(self, objs, n, s):
@@ -317,7 +291,7 @@ class BicatNerve(_PosetalNerve):
     def __init__(self, k: PosetalBicat, top_level: int = 4, validate: bool = True):
         if validate:
             require_valid(validate_bicat(k))
-        super().__init__(k, top_level, ())
+        super().__init__(k, top_level, None)
         self.k = k
 
     def _hom(self, objs, n, s):

@@ -1,11 +1,12 @@
 """Every law check of the validators, the associativity inequality of the
 skew-monoidale census, each row-law check of the relation and ideal models,
 the map search's naturality check and the comparison in the replay behind
-it, the length check of nerve membership and both checks of the catalogue's
-self-verification is needed, and so is each step of the two fast paths
-(the run tables of ``catalan.act`` and the generated row reader of the
-``models`` pullbacks): cutting any one of them from a copy of the package
-makes the tests that pin it fail.
+it, each law family of the simplicial-identity harness, the length check of
+nerve membership, both branches of the nerve's collapse rule and both
+checks of the catalogue's self-verification is needed, and so is each step
+of the two fast paths (the run tables of ``catalan.act`` and the generated
+row reader of the ``models`` pullbacks): cutting or bending any one of them
+in a copy of the package makes the tests that pin it fail.
 
 Each mutant is a (module, snippet, test modules) triple.  The snippet, an
 exact piece of source, is cut from a fresh copy of ``src/``, or, given as
@@ -197,10 +198,40 @@ MUTANTS = {
         "if moved[row[k]] != images[m][j]:\n" + " " * 24,
         SSET,
     ),
+    "identity harness: d_i d_j family": (
+        "sset.py",
+        "                            if lhs != rhs:\n"
+        '                                note("d_i d_j = d_{j-1} d_i", n, x, f"i={i} j={j}", lhs, rhs)\n',
+        SSET,
+    ),
+    "identity harness: s_i s_j family": (
+        "sset.py",
+        "                            if lhs != rhs:\n"
+        '                                note("s_i s_j = s_{j+1} s_i", n, x, f"i={i} j={j}", lhs, rhs)\n',
+        SSET,
+    ),
+    "identity harness: d_i s_j family": (
+        "sset.py",
+        "                            if got != want:\n"
+        '                                note(law, n, x, f"i={i} j={j}", got, want)\n',
+        SSET,
+    ),
     "nerve contains: lengths": (
         "nerve.py",
         "        if len(objs) != len(_subsets(n, r)) or len(cells) != len(_subsets(n, r + 1)):\n"
         "            return False\n",
+        NERVE,
+    ),
+    # the collapse rule's two branches: a collapsed subset reads the subset
+    # without its first vertex, and a collapsed cell reads the stored cells
+    "nerve collapse: subset without its second vertex": (
+        "nerve.py",
+        ("collapsed[s[:1] + s[2:]]", "collapsed[s[1:]]"),
+        NERVE,
+    ),
+    "nerve collapse: identity cell": (
+        "nerve.py",
+        ("else identities[objs[~k]]", "else x.cells[k]"),
         NERVE,
     ),
     "catalogue: recorded faces": (

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from catalan_sset import delta, sset
@@ -9,11 +11,15 @@ from catalan_sset.nerve import (
     BicatNerveSimplex,
     MonoidalNerve,
     MonoidalNerveSimplex,
-    _restriction,
-    triples,
 )
 from catalan_sset.posets import MonoidalPoset
+from fixtures_bicats import probe
 from fixtures_sset import suite_nerves
+
+
+def _triples(n):
+    """The triples of vertices of [n] in lexicographic order."""
+    return tuple(combinations(range(n + 1), 3))
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +47,7 @@ def _transport(b, x):
         cod = str(x.entry(p, r))
         return f"{dom}->{cod}"
 
-    cells = tuple(cell(p, q, r) for (p, q, r) in triples(n))
+    cells = tuple(cell(p, q, r) for (p, q, r) in _triples(n))
     return MonoidalNerveSimplex(n, objs, cells)
 
 
@@ -209,14 +215,23 @@ def test_bicat_nerve_act_equals_the_interval_loop():
         assert pairs > 0
 
 
-def _monoidal_act_by_restriction(nv, xi, x):
-    """The monoidal nerve's pullback read slot by slot from the restriction
-    plan: the oracle for the gathers of ``MonoidalNerve.act``."""
-    _, obj_src, cell_src = _restriction(xi)
-    unit, identity_of = nv.b.unit_object, nv.b.identity_of
-    objs = tuple(x.objects[k] if k >= 0 else unit for k in obj_src)
-    cells = tuple(x.cells[k] if k >= 0 else identity_of(objs[~k]) for k in cell_src)
-    return MonoidalNerveSimplex(xi.domain_top, objs, cells)
+def _monoidal_act_by_triples(nv, xi, x):
+    """The monoidal nerve's pullback worked out interval by interval and
+    triple by triple: the oracle for ``MonoidalNerve.act``.  A collapsed
+    interval carries the unit, and a collapsed triple (p, q, r) the
+    identity on the pulled-back object of (p, r)."""
+    m, v = xi.domain_top, xi.values
+    objs = tuple(
+        x.objects[interval_index(x.n)[(v[p], v[q])]] if v[p] < v[q] else nv.b.unit_object
+        for (p, q) in intervals(m)
+    )
+    cells = []
+    for (p, q, r) in _triples(m):
+        if v[p] < v[q] < v[r]:
+            cells.append(x.cells[_triples(x.n).index((v[p], v[q], v[r]))])
+        else:
+            cells.append(nv.b.identity_of(objs[interval_index(m)[(p, r)]]))
+    return MonoidalNerveSimplex(m, objs, tuple(cells))
 
 
 def _monoidal_suite_nerves():
@@ -224,14 +239,14 @@ def _monoidal_suite_nerves():
     return [(name, X) for name, X in suite_nerves() if isinstance(X, MonoidalNerve)]
 
 
-def test_monoidal_nerve_act_equals_the_restriction_oracle():
+def test_monoidal_nerve_act_equals_the_triple_loop():
     for name, nv in _monoidal_suite_nerves():
         pairs = 0
         for n in range(4):
             for m in range(4):
                 for xi in delta.all_maps(m, n):
                     for x in nv.level(n):
-                        assert nv.act(xi, x) == _monoidal_act_by_restriction(nv, xi, x), (
+                        assert nv.act(xi, x) == _monoidal_act_by_triples(nv, xi, x), (
                             name, str(xi), x,
                         )
                         pairs += 1
@@ -242,7 +257,7 @@ def test_nerve_act_equals_the_oracles_on_the_level_four_images_of_every_map():
     """Level 4 is too large to act on whole; the images of the maps found
     out of the Catalan set are the simplices a verdict acts on there."""
     spaces = [
-        (nv, _monoidal_act_by_restriction) for _, nv in _monoidal_suite_nerves()
+        (nv, _monoidal_act_by_triples) for _, nv in _monoidal_suite_nerves()
     ] + [(nk, _bicat_act_by_intervals) for _, nk in _plain_suite_nerves()]
     maps_to_four = [xi for m in range(5) for xi in delta.all_maps(m, 4)]
     checked = 0
@@ -273,3 +288,26 @@ def test_levels_are_ordered_by_object_then_cell_positions():
                 for x in nerve.level(n)
             ]
             assert all(a < b for a, b in zip(keys, keys[1:])), (nerve, n)
+
+
+def test_both_nerves_are_functorial_in_act_index_form():
+    """act_index(outer . inner) is act_index(outer) read through
+    act_index(inner), for every composable pair with tops <= 3: on every
+    suite nerve at both ranks, posets embedded, and on both nerves of the
+    probe, where associativity bites."""
+    maps = [xi for m in range(4) for n in range(4) for xi in delta.all_maps(m, n)]
+    pairs = [
+        (outer, inner)
+        for outer in maps
+        for inner in maps
+        if inner.codomain_top == outer.domain_top
+    ]
+    assert (len(maps), len(pairs)) == (121, 5374)
+    spaces = suite_nerves(plain_posets=True)
+    spaces += [("probe", MonoidalNerve(probe())), ("probe", BicatNerve(probe()))]
+    for name, X in spaces:
+        for outer, inner in pairs:
+            first, then = X.act_index(outer), X.act_index(inner)
+            assert X.act_index(delta.compose(outer, inner)) == tuple(then[k] for k in first), (
+                name, X.rank, str(outer), str(inner),
+            )

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -15,7 +15,6 @@ from catalan_sset.nerve import (
     BicatNerveSimplex,
     MonoidalNerve,
     MonoidalNerveSimplex,
-    triples,
 )
 from catalan_sset.sset import (
     Boundary,
@@ -189,6 +188,10 @@ def _vertices(n):
     return tuple((v,) for v in range(n + 1))
 
 
+def _triples(n):
+    return tuple(combinations(range(n + 1), 3))
+
+
 def test_nerve_act_composes_along_the_generators():
     """Both nerves over a stand-in input, on one simplex per level whose
     objects, cells, identities and unit are all distinct labels.  ``act``
@@ -197,7 +200,7 @@ def test_nerve_act_composes_along_the_generators():
     functoriality everywhere."""
     stand_in = SimpleNamespace(objects=(), identities=_IdentityLabels(), unit_object="I")
     for X, object_sets, cell_sets in (
-        (MonoidalNerve(stand_in, validate=False), intervals, triples),
+        (MonoidalNerve(stand_in, validate=False), intervals, _triples),
         (BicatNerve(stand_in, validate=False), _vertices, intervals),
     ):
         for xi in _maps_to_level_four():
@@ -237,6 +240,60 @@ def test_identity_harness_catches_corrupted_table(c4):
 def test_harness_level_guard(c4):
     with pytest.raises(LevelOutOfRangeError):
         c4.verify_simplicial_identities(5)
+
+
+class _OneWrongGenerator(CatalanSet):
+    """The Catalan set with d_i (``kind`` "face") or s_i (``kind``
+    "degeneracy") wrong on the one level-n simplex x, where it returns
+    ``wrong``."""
+
+    def __init__(self, top_level, kind, i, n, x, wrong):
+        super().__init__(top_level)
+        self.at, self.wrong = (kind, i, n, x), wrong
+
+    def face(self, i, n, x):
+        return self.wrong if self.at == ("face", i, n, x) else super().face(i, n, x)
+
+    def degeneracy(self, i, n, x):
+        return self.wrong if self.at == ("degeneracy", i, n, x) else super().degeneracy(i, n, x)
+
+
+@pytest.mark.parametrize(
+    "family, wrong_at, n_max, law",
+    [
+        # d_i d_j reads no degeneracy, so a face is wrong here; level 0 is a
+        # point, so below n_max = 3 every d_i d_j holds whatever the faces
+        (
+            "d_i d_j",
+            ("face", 0, 3, lax_from_bits(3, (1,) * 6), lax_from_bits(2, (0, 0, 1))),
+            3,
+            "d_i d_j = d_{j-1} d_i",
+        ),
+        # from level 2 a Catalan simplex is fixed by its faces, and the
+        # d_i s_j laws fix every face of s_0 s_0 of the vertex; so the wrong
+        # value is the right one with a stray bit above its level, which
+        # ``act``, and so every face, ignores
+        (
+            "s_i s_j",
+            ("degeneracy", 0, 1, LaxMatrix(1, 0), LaxMatrix(2, 1 << 3)),
+            2,
+            "s_i s_j = s_{j+1} s_i",
+        ),
+        # s_0 of the non-degenerate edge answers s_1 of it
+        (
+            "d_i s_j",
+            ("degeneracy", 0, 1, LaxMatrix(1, 1), lax_from_bits(2, (1, 0, 1))),
+            2,
+            "d_i s_j = id (i in {j, j+1})",
+        ),
+    ],
+)
+def test_identity_harness_names_the_one_broken_family_first(family, wrong_at, n_max, law):
+    report = _OneWrongGenerator(n_max, *wrong_at).verify_simplicial_identities(n_max)
+    assert report.violations
+    assert report.violations[0].law == law
+    assert all(v.law.startswith(family) for v in report.violations), report.summary()
+    assert CatalanSet(n_max).verify_simplicial_identities(n_max).checked == report.checked
 
 
 # -- boundaries and fillers ----------------------------------------------------
@@ -464,7 +521,7 @@ def _product_space(X, n):
     """Every simplex-shaped record at level n over the input's objects and
     cell names, plus one name foreign to both."""
     if isinstance(X, MonoidalNerve):
-        b, shape, make = X.b, (len(intervals(n)), len(triples(n))), MonoidalNerveSimplex
+        b, shape, make = X.b, (len(intervals(n)), len(_triples(n))), MonoidalNerveSimplex
     else:
         b, shape, make = X.k, (n + 1, len(intervals(n))), BicatNerveSimplex
     objects = tuple(b.objects) + ("?",)
